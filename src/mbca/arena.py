@@ -212,6 +212,13 @@ def validate_strategy(
 # The first state line names the initial state.
 
 
+def _integer(token: str, lineno: int, what: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise MbcaError(f"line {lineno}: {what} {token!r} is not an integer") from None
+
+
 def parse_strategy(text: str) -> Strategy:
     name = ""
     role = 0
@@ -225,7 +232,7 @@ def parse_strategy(text: str) -> Strategy:
         if tokens[0] == "strategy":
             if len(tokens) != 4 or tokens[2] != "role":
                 raise MbcaError(f"line {lineno}: bad strategy header")
-            name, role = tokens[1], int(tokens[3])
+            name, role = tokens[1], _integer(tokens[3], lineno, "role")
         elif tokens[0] == "state":
             if (
                 len(tokens) not in (9, 11)
@@ -237,7 +244,7 @@ def parse_strategy(text: str) -> Strategy:
             ):
                 raise MbcaError(f"line {lineno}: bad state rule")
             state, token, emitted, nxt = tokens[1], tokens[3], tokens[6], tokens[8]
-            delta = int(tokens[10]) if len(tokens) == 11 else 0
+            delta = _integer(tokens[10], lineno, "counter") if len(tokens) == 11 else 0
             if not initial:
                 initial = state
             rules[(state, token)] = (emitted, nxt, delta)

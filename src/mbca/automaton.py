@@ -11,8 +11,8 @@ run blocks at zero level.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, NamedTuple
+from functools import cached_property
+from typing import Callable, Iterable, NamedTuple, TypeVar
 
 LEVEL_ZERO = "Z"
 LEVEL_POS = "I"
@@ -75,12 +75,46 @@ class Mbca:
         return max((t.delta for t in self.transitions if t.delta > 0), default=0)
 
     def entry(self, state: str, letter: str, level: str) -> tuple[str, int] | None:
-        return _delta_map(self).get((state, letter, level))
+        return self._table.get((state, letter, level))
+
+    @cached_property
+    def _table(self) -> dict[tuple[str, str, str], tuple[str, int]]:
+        # built once per instance, outside the compared and hashed fields
+        return {(t.source, t.letter, t.level): (t.target, t.delta) for t in self.transitions}
 
 
-@lru_cache(maxsize=None)
-def _delta_map(machine: Mbca) -> dict[tuple[str, str, str], tuple[str, int]]:
-    return {(t.source, t.letter, t.level): (t.target, t.delta) for t in machine.transitions}
+T = TypeVar("T")
+
+MEMO_MACHINES = 64
+_memo: dict[Mbca, dict] = {}
+
+
+def memo(machine: Mbca, key, build: Callable[[], T]) -> T:
+    """The one process-wide cache of what is derived from a machine value.
+
+    Entries are keyed by the machine's value, not its identity, so a machine
+    parsed twice, or a derived machine rebuilt by a later derivation, shares
+    the work done for an equal one.  Each machine's entry maps a key to the
+    move table, the reach analysis from each start configuration, the loop
+    descriptors, the ``Analyzer`` of each threshold map and the Wadge name.
+
+    The bound counts machines.  Naming a machine touches it plus one derived
+    machine per E block of its name; naming every gallery-box spec and
+    ``machines/`` file in one process touches 44 machines.  So
+    ``MEMO_MACHINES`` keeps such a working set whole, while a process that
+    streams many distinct machines keeps only the newest ones: the oldest
+    machine's entry goes first.  An entry's size is set by its reach analyses
+    and ranges from kilobytes to hundreds of megabytes, so the bound limits
+    how many machines are remembered, not bytes.
+    """
+    slot = _memo.get(machine)
+    if slot is None:
+        if len(_memo) >= MEMO_MACHINES:
+            del _memo[next(iter(_memo))]
+        slot = _memo[machine] = {}
+    if key not in slot:
+        slot[key] = build()
+    return slot[key]
 
 
 def check(

@@ -15,15 +15,34 @@ from pathlib import Path
 from .arena import copycat, default_suite, parse_strategy, play, validate_strategy
 from .automaton import InvalidMachine, Mbca, MbcaError, emit_machine, parse_machine
 from .gallery import canonical, parse_class_spec
-from .hierarchy import Analyzer
+from .hierarchy import Analyzer, analyzer_for, invariants
 from .loops import loops
 from .naming import compare, degree_rank, parse_name, wadge_name
-from .semantics import member, parse_word, run
+from .semantics import UPWord, member, parse_word, run
 from .wagner import wagner_invariants
 
 
+def _read(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise MbcaError(f"{path}: not UTF-8 text (byte {err.start})") from None
+
+
 def _load_machine(path: str) -> Mbca:
-    return parse_machine(Path(path).read_text())
+    return parse_machine(_read(path))
+
+
+def _load_word(machine: Mbca, text: str) -> UPWord:
+    """Parse a word, refusing letters the machine cannot read."""
+    word = parse_word(text)
+    unknown = [a for a in dict.fromkeys(word.prefix + word.period) if a not in machine.alphabet]
+    if unknown:
+        raise MbcaError(
+            f"word uses {' '.join(map(repr, unknown))}, not in the alphabet of "
+            f"{machine.name} ({' '.join(machine.alphabet)})"
+        )
+    return word
 
 
 def _emit(payload: dict, fmt: str, text_lines) -> None:
@@ -32,10 +51,6 @@ def _emit(payload: dict, fmt: str, text_lines) -> None:
     else:
         for line in text_lines:
             print(line)
-
-
-def _sorted_set(states) -> list[str]:
-    return sorted(states)
 
 
 def _machine_summary(machine: Mbca) -> dict:
@@ -49,62 +64,57 @@ def _machine_summary(machine: Mbca) -> dict:
     }
 
 
-def _report(machine: Mbca, include_name: bool = True) -> dict:
-    analyzer = Analyzer(machine)
+# -- report sections: each computes only what it prints ------------------------
+
+
+def _loop_section(analyzer: Analyzer) -> list[dict]:
+    return [
+        {
+            "anchor": d.anchor,
+            "level": d.level,
+            "states": sorted(d.essential_set),
+            "kind": d.delta_kind,
+            "sign": d.sign,
+            "dip": d.dip,
+            "min_anchor_counter": d.min_anchor_counter,
+        }
+        for d in analyzer.admissible_loops()
+    ]
+
+
+def _chain_section(analyzer: Analyzer) -> list[dict]:
+    return [
+        {
+            "site": sorted(c.site),
+            "sign": c.sign,
+            "length": len(c),
+            "sets": [sorted(f) for f in c.sets],
+        }
+        for c in analyzer.chains()
+    ]
+
+
+def _superchain_section(analyzer: Analyzer) -> list[dict]:
+    return [
+        {
+            "length": sc.length.render(),
+            "sign": sc.sign,
+            "finite_part": [sorted(c.site) for c in sc.finite_part],
+            "omega_part": [
+                {"positive_site": sorted(l.pos_site), "negative_site": sorted(l.neg_site)}
+                for l in sc.omega_part
+            ],
+        }
+        for sc in analyzer.superchains()
+    ]
+
+
+def _invariant_section(analyzer: Analyzer) -> dict:
     inv = analyzer.invariants()
-    payload = {
-        "machine": _machine_summary(machine),
-        "essential_sets": [
-            {"states": _sorted_set(f), "sign": sign}
-            for f, sign in sorted(
-                analyzer.essential().items(), key=lambda kv: (len(kv[0]), sorted(kv[0]))
-            )
-        ],
-        "loops": [
-            {
-                "anchor": d.anchor,
-                "level": d.level,
-                "states": _sorted_set(d.essential_set),
-                "kind": d.delta_kind,
-                "sign": d.sign,
-                "dip": d.dip,
-                "min_anchor_counter": d.min_anchor_counter,
-            }
-            for d in analyzer.admissible_loops()
-        ],
-        "chains": [
-            {
-                "site": _sorted_set(c.site),
-                "sign": c.sign,
-                "length": len(c),
-                "sets": [_sorted_set(f) for f in c.sets],
-            }
-            for c in analyzer.chains()
-        ],
-        "superchains": [
-            {
-                "length": sc.length.render(),
-                "sign": sc.sign,
-                "finite_part": [_sorted_set(c.site) for c in sc.finite_part],
-                "omega_part": [
-                    {
-                        "positive_site": _sorted_set(l.pos_site),
-                        "negative_site": _sorted_set(l.neg_site),
-                    }
-                    for l in sc.omega_part
-                ],
-            }
-            for sc in analyzer.superchains()
-        ],
+    return {
         "invariants": {"m": inv.m, "n": inv.n.render(), "s": inv.s},
         "coarse_class": inv.coarse_class,
     }
-    if include_name:
-        name = wadge_name(machine)
-        payload["name"] = name.render()
-        payload["degree_rank"] = degree_rank(name).render()
-        payload["delta02"] = inv.m < 2
-    return payload
 
 
 def _cmd_validate(args) -> int:
@@ -130,12 +140,12 @@ def _cmd_validate(args) -> int:
 
 def _cmd_simulate(args) -> int:
     machine = _load_machine(args.machine)
-    word = parse_word(args.word)
+    word = _load_word(machine, args.word)
     trace = run(machine, word)
     payload = {
         "word": word.render(),
         "outcome": trace.outcome.kind,
-        "inf_set": _sorted_set(trace.inf_set) if trace.inf_set else None,
+        "inf_set": sorted(trace.inf_set) if trace.inf_set else None,
         "configurations": [[c.state, c.counter] for c in trace.configs[:64]],
     }
     lines = [f"outcome: {trace.outcome.kind}"]
@@ -143,60 +153,54 @@ def _cmd_simulate(args) -> int:
         payload["blocked_at"] = trace.outcome.position
         lines.append(f"blocked at letter index {trace.outcome.position}")
     else:
-        lines.append(f"inf set: {{{' '.join(_sorted_set(trace.inf_set))}}}")
+        lines.append(f"inf set: {{{' '.join(sorted(trace.inf_set))}}}")
     _emit(payload, args.format, lines)
     return 0
 
 
 def _cmd_member(args) -> int:
     machine = _load_machine(args.machine)
-    verdict = member(machine, parse_word(args.word))
+    verdict = member(machine, _load_word(machine, args.word))
     _emit({"member": verdict}, args.format, ["true" if verdict else "false"])
     return 0
 
 
 def _cmd_loops(args) -> int:
     machine = _load_machine(args.machine)
-    report = _report(machine, include_name=False)
+    section = _loop_section(analyzer_for(machine))
     lines = [
         f"L{'+' if d['sign'] == 'positive' else '-'}({d['anchor']}, {d['level']}, "
         f"{{{' '.join(d['states'])}}}, {'+' if d['kind'] == 'plus' else '='}) "
         f"dip={d['dip']}"
-        for d in report["loops"]
+        for d in section
     ]
-    _emit({"loops": report["loops"], "raw_count": len(loops(machine))}, args.format, lines)
+    _emit({"loops": section, "raw_count": len(loops(machine))}, args.format, lines)
     return 0
 
 
 def _cmd_chains(args) -> int:
-    machine = _load_machine(args.machine)
-    report = _report(machine, include_name=False)
-    lines = [
-        f"site {{{' '.join(c['site'])}}}: length {c['length']}, {c['sign']}"
-        for c in report["chains"]
-    ]
-    _emit({"chains": report["chains"]}, args.format, lines)
+    section = _chain_section(analyzer_for(_load_machine(args.machine)))
+    lines = [f"site {{{' '.join(c['site'])}}}: length {c['length']}, {c['sign']}" for c in section]
+    _emit({"chains": section}, args.format, lines)
     return 0
 
 
 def _cmd_superchains(args) -> int:
-    machine = _load_machine(args.machine)
-    report = _report(machine, include_name=False)
+    section = _superchain_section(analyzer_for(_load_machine(args.machine)))
     lines = [
         f"length {sc['length']}, {sc['sign']}, finite part "
         f"{[' '.join(s) for s in sc['finite_part']]}, omega units {len(sc['omega_part'])}"
-        for sc in report["superchains"]
+        for sc in section
     ]
-    _emit({"superchains": report["superchains"]}, args.format, lines or ["none"])
+    _emit({"superchains": section}, args.format, lines or ["none"])
     return 0
 
 
 def _cmd_invariants(args) -> int:
-    machine = _load_machine(args.machine)
-    report = _report(machine, include_name=False)
+    report = _invariant_section(analyzer_for(_load_machine(args.machine)))
     inv = report["invariants"]
     _emit(
-        {"invariants": inv, "coarse_class": report["coarse_class"]},
+        report,
         args.format,
         [f"m = {inv['m']}", f"n = {inv['n']}", f"s = {inv['s']}",
          f"class {report['coarse_class']}"],
@@ -206,21 +210,34 @@ def _cmd_invariants(args) -> int:
 
 def _cmd_classify(args) -> int:
     machine = _load_machine(args.machine)
-    report = _report(machine)
+    analyzer = analyzer_for(machine)  # the same instance wadge_name works on
+    name = wadge_name(machine)
+    report = {
+        "machine": _machine_summary(machine),
+        "essential_sets": [
+            {"states": sorted(f), "sign": sign}
+            for f, sign in sorted(
+                analyzer.essential().items(), key=lambda kv: (len(kv[0]), sorted(kv[0]))
+            )
+        ],
+        "loops": _loop_section(analyzer),
+        "chains": _chain_section(analyzer),
+        "superchains": _superchain_section(analyzer),
+        **_invariant_section(analyzer),
+        "name": name.render(),
+        "degree_rank": degree_rank(name).render(),
+        "delta02": analyzer.invariants().m < 2,
+    }
     _emit(report, args.format, [report["name"]])
     return 0
 
 
 def _cmd_compare(args) -> int:
-    left = _load_machine(args.machine)
-    right = _load_machine(args.other)
-    verdict = compare(wadge_name(left), wadge_name(right))
+    left = wadge_name(_load_machine(args.machine))
+    right = wadge_name(_load_machine(args.other))
+    verdict = compare(left, right)
     _emit(
-        {
-            "left": wadge_name(left).render(),
-            "right": wadge_name(right).render(),
-            "verdict": verdict,
-        },
+        {"left": left.render(), "right": right.render(), "verdict": verdict},
         args.format,
         [verdict],
     )
@@ -240,14 +257,14 @@ def _cmd_game(args) -> int:
     left = _load_machine(args.machine)
     right = _load_machine(args.other)
     if args.strategy:
-        defender = parse_strategy(Path(args.strategy).read_text())
+        defender = parse_strategy(_read(args.strategy))
     else:
         defender = copycat(right.alphabet)
     if args.opponent:
         record = play(
             left,
             right,
-            parse_strategy(Path(args.opponent).read_text()),
+            parse_strategy(_read(args.opponent)),
             defender,
             horizon=args.horizon,
         )
@@ -300,7 +317,7 @@ def _cmd_selftest(args) -> int:
         for bits in range(2 ** len(subsets)):
             fam = [sorted(subsets[i]) for i in range(len(subsets)) if bits >> i & 1]
             machine = make("cf", letters, states, "q0", trans, fam)
-            got = Analyzer(machine).invariants()
+            got = invariants(machine)
             want = wagner_invariants(machine)
             record((got.m, got.n, got.s) == (want.m, want.n, want.s), f"wagner {targets} {fam}")
 
@@ -360,7 +377,7 @@ def main(argv=None) -> int:
     except MbcaError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except FileNotFoundError as err:
+    except OSError as err:  # missing file, a directory, no permission
         print(f"error: {err}", file=sys.stderr)
         return 2
 

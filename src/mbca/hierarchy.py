@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import total_ordering
 
-from .automaton import LEVEL_POS, Configuration, Mbca
+from .automaton import LEVEL_POS, Configuration, Mbca, memo
 from .loops import LoopDescriptor, admissible, loops
 from .reachability import ReachSet, analysis, cutoff
 
@@ -430,15 +430,16 @@ class Analyzer:
     def _alternating_paths(self, allowed, require_tail_to=None):
         """Longest alternating simple paths over allowed sites.
 
-        Returns (best_length, heads) with heads the (first_site, first_sign)
-        pairs of maximal paths; a path counts only if its last element
+        Returns (best_length, firsts): firsts maps each (first_site,
+        first_sign) head of a maximal path to the first maximal path with
+        that head, in search order.  A path counts only if its last element
         tail-reaches one of the ``require_tail_to`` anchor states (no
         constraint when None).
         """
         edges = self._h_edges()
         allowed = list(allowed)
         best = 0
-        heads: set[tuple[frozenset[str], str]] = set()
+        firsts: dict[tuple[frozenset[str], str], tuple] = {}
 
         def ok_terminal(site) -> bool:
             if require_tail_to is None:
@@ -447,13 +448,13 @@ class Analyzer:
             return any(self.tail_reaches(sources, q) for q in require_tail_to)
 
         def walk(site, sign, path):
-            nonlocal best, heads
+            nonlocal best, firsts
             length = len(path)
             if ok_terminal(site):
                 if length > best:
-                    best, heads = length, set()
+                    best, firsts = length, {}
                 if length == best:
-                    heads.add(path[0])
+                    firsts.setdefault(path[0], path)
             for nxt in sorted(edges[site], key=sorted):
                 if nxt in {p for p, _ in path}:
                     continue
@@ -466,7 +467,7 @@ class Analyzer:
         for site in allowed:
             for sign in sorted(self.site_first_signs(site)):
                 walk(site, sign, ((site, sign),))
-        return best, heads
+        return best, firsts
 
     def _prefix_allowed(self, chain_links: tuple[int, ...]) -> list[frozenset[str]]:
         """Sites usable before the omega part: not reachable back from it."""
@@ -482,63 +483,56 @@ class Analyzer:
                     blocked.add(site)
         return [s for s in self.max_sites() if s not in blocked]
 
-    def _sign_loop_entries(self, link: OmegaLink) -> dict[str, set[LoopDescriptor]]:
-        """Admissible loops, by sign, from which the first unit is re-pumpable."""
+    def _loop_entries(self, link: OmegaLink) -> list[LoopDescriptor]:
+        """Admissible loops, in order, from which the first unit is re-pumpable."""
         anchors = (link.pos_loop.anchor, link.neg_loop.anchor)
-        out: dict[str, set[LoopDescriptor]] = {"positive": set(), "negative": set()}
+        out = []
         for d in self.admissible_loops():
             sources = [
                 s for s in self.loop_sources(d.essential_set) if s.state == d.anchor
             ]
             if any(self.tail_reaches(sources, q) for q in anchors):
-                out[d.sign].add(d)
+                out.append(d)
         return out
 
     def _superchain_summary(self):
-        """Maximal (p, s) length with the signs and entry structures achieving it.
+        """Maximal (p, s) length, the entry structures achieving it, and one
+        superchain of that length per achieved sign.
 
         Entries are ("site", F) for prefixed superchains (the first chain's
         site) and ("loop", descriptor) for bare omega parts; the derivation
-        needs every one of them, not a single representative.
+        needs every one of them.  The superchain kept for a sign is the first
+        maximal one the pass meets.
         """
 
         def build():
-            candidates: list[tuple[OrdinalW2, dict[str, set]]] = []
+            found: list[tuple[tuple, Superchain]] = []  # (entry, superchain) in pass order
+
+            def prefixed(p, omega, s, firsts):
+                for (site, sign), path in firsts.items():
+                    finite = tuple(self.site_chain(f, fs) for f, fs in path)
+                    sc = Superchain(OrdinalW2(p, s), finite, omega, sign, None)
+                    found.append((("site", site), sc))
+
             if self.max_sites():
-                smax, heads = self._alternating_paths(self.max_sites())
-                if smax:
-                    entry: dict[str, set] = {"positive": set(), "negative": set()}
-                    for site, sign in heads:
-                        entry[sign].add(("site", site))
-                    candidates.append((OrdinalW2(0, smax), entry))
+                prefixed(0, (), *self._alternating_paths(self.max_sites()))
+            links = self.links()
             for chain in self._link_chains():
-                links = self.links()
+                omega = tuple(links[i] for i in chain)
                 p = len(chain)
+                anchors = (omega[0].pos_loop.anchor, omega[0].neg_loop.anchor)
                 allowed = self._prefix_allowed(chain)
-                first = links[chain[0]]
-                anchors = (first.pos_loop.anchor, first.neg_loop.anchor)
-                s, heads = self._alternating_paths(allowed, require_tail_to=anchors)
-                if s:
-                    entry = {"positive": set(), "negative": set()}
-                    for site, sign in heads:
-                        entry[sign].add(("site", site))
-                    candidates.append((OrdinalW2(p, s), entry))
-                loop_entries = self._sign_loop_entries(first)
-                if loop_entries["positive"] or loop_entries["negative"]:
-                    entry = {
-                        sign: {("loop", d) for d in descriptors}
-                        for sign, descriptors in loop_entries.items()
-                    }
-                    candidates.append((OrdinalW2(p, 0), entry))
-            if not candidates:
-                return OrdinalW2(0, 0), {"positive": set(), "negative": set()}
-            top = max(length for length, _ in candidates)
-            merged: dict[str, set] = {"positive": set(), "negative": set()}
-            for length, entry in candidates:
-                if length == top:
-                    merged["positive"] |= entry["positive"]
-                    merged["negative"] |= entry["negative"]
-            return top, merged
+                prefixed(p, omega, *self._alternating_paths(allowed, require_tail_to=anchors))
+                for d in self._loop_entries(omega[0]):
+                    found.append((("loop", d), Superchain(OrdinalW2(p, 0), (), omega, d.sign, d)))
+            top = max((sc.length for _, sc in found), default=OrdinalW2(0, 0))
+            entries: dict[str, set] = {"positive": set(), "negative": set()}
+            kept: dict[str, Superchain] = {}
+            for entry, sc in found:
+                if sc.length == top:
+                    entries[sc.sign].add(entry)
+                    kept.setdefault(sc.sign, sc)
+            return top, entries, kept
 
         return self._memo("superchain_summary", build)
 
@@ -550,86 +544,12 @@ class Analyzer:
         return self._superchain_summary()[0]
 
     def achieved_signs(self) -> set[str]:
-        _, entries = self._superchain_summary()
-        return {sign for sign, options in entries.items() if options}
+        return set(self._superchain_summary()[2])
 
     def superchains(self) -> tuple[Superchain, ...]:
         """Representative superchains of maximal length, one per achieved sign."""
-        length, _ = self._superchain_summary()
-        if length.is_zero():
-            return ()
-        return tuple(
-            self._witness_superchain(length, sign) for sign in sorted(self.achieved_signs())
-        )
-
-    def _witness_superchain(self, length: OrdinalW2, sign: str) -> Superchain:
-        links = self.links()
-        if length.p == 0:
-            prefix = self._witness_prefix(length.s, sign, self.max_sites(), None)
-            assert prefix is not None, "summary promised a finite superchain"
-            return Superchain(
-                length,
-                tuple(self.site_chain(site, s) for site, s in prefix),
-                (),
-                sign,
-                None,
-            )
-        for chain in self._link_chains():
-            if len(chain) != length.p:
-                continue
-            first = links[chain[0]]
-            anchors = (first.pos_loop.anchor, first.neg_loop.anchor)
-            omega = tuple(links[i] for i in chain)
-            if length.s:
-                allowed = self._prefix_allowed(chain)
-                prefix = self._witness_prefix(length.s, sign, allowed, anchors)
-                if prefix is None:
-                    continue
-                return Superchain(
-                    length,
-                    tuple(self.site_chain(site, s) for site, s in prefix),
-                    omega,
-                    sign,
-                    None,
-                )
-            for d in self.admissible_loops():
-                if d.sign != sign:
-                    continue
-                sources = [
-                    s for s in self.loop_sources(d.essential_set) if s.state == d.anchor
-                ]
-                if any(self.tail_reaches(sources, q) for q in anchors):
-                    return Superchain(length, (), omega, sign, d)
-        raise AssertionError("summary promised a superchain that cannot be rebuilt")
-
-    def _witness_prefix(self, s_len, sign, allowed, anchors):
-        edges = self._h_edges()
-
-        def ok_terminal(site):
-            if anchors is None:
-                return True
-            sources = self.loop_sources(site)
-            return any(self.tail_reaches(sources, q) for q in anchors)
-
-        def walk(site, cur_sign, path):
-            if len(path) == s_len:
-                return path if ok_terminal(site) else None
-            for nxt in sorted(edges[site], key=sorted):
-                if nxt in {p for p, _ in path} or nxt not in allowed:
-                    continue
-                nsign = _opposite(cur_sign)
-                if nsign in self.site_first_signs(nxt):
-                    got = walk(nxt, nsign, path + ((nxt, nsign),))
-                    if got:
-                        return got
-            return None
-
-        for site in allowed:
-            if sign in self.site_first_signs(site):
-                got = walk(site, sign, ((site, sign),))
-                if got:
-                    return got
-        return None
+        kept = self._superchain_summary()[2]
+        return tuple(kept[sign] for sign in sorted(kept))
 
     # -- invariants ------------------------------------------------------------
 
@@ -648,13 +568,19 @@ class Analyzer:
         return InvariantTriple(m, n, s)
 
 
+def analyzer_for(machine: Mbca, thresholds: dict[str, int] | None = None) -> Analyzer:
+    """The shared :class:`Analyzer` of a machine value and threshold map."""
+    key = ("analyzer", tuple(sorted((thresholds or {}).items())))
+    return memo(machine, key, lambda: Analyzer(machine, thresholds))
+
+
 def chains(machine: Mbca) -> tuple[Chain, ...]:
-    return Analyzer(machine).chains()
+    return analyzer_for(machine).chains()
 
 
 def superchains(machine: Mbca) -> tuple[Superchain, ...]:
-    return Analyzer(machine).superchains()
+    return analyzer_for(machine).superchains()
 
 
 def invariants(machine: Mbca) -> InvariantTriple:
-    return Analyzer(machine).invariants()
+    return analyzer_for(machine).invariants()

@@ -18,9 +18,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .automaton import LEVEL_POS, LEVEL_ZERO, Configuration, Mbca, MbcaError
+from .automaton import LEVEL_POS, LEVEL_ZERO, Configuration, Mbca, MbcaError, memo
 from .reachability import analysis
 from .semantics import UPWord
 
@@ -277,10 +276,9 @@ def _loops_of(machine: Mbca) -> tuple[LoopDescriptor, ...]:
     return tuple(sorted(found.values(), key=lambda d: (d.anchor, d.level, sorted(d.essential_set), d.delta_kind)))
 
 
-@lru_cache(maxsize=512)
 def loops(machine: Mbca) -> tuple[LoopDescriptor, ...]:
     """Every structural loop descriptor, before anchor-reachability filtering."""
-    return _loops_of(machine)
+    return memo(machine, "loops", lambda: _loops_of(machine))
 
 
 def admissible(machine: Mbca, descriptor: LoopDescriptor, threshold: int = 0) -> bool:

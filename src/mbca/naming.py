@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .automaton import Mbca, MbcaError
-from .hierarchy import Analyzer, InvariantTriple, OrdinalW2, parse_ordinal
+from .automaton import Mbca, MbcaError, memo
+from .hierarchy import Analyzer, OrdinalW2, analyzer_for, parse_ordinal
 from .reachability import min_counter_to
 
 
@@ -118,7 +118,7 @@ def _superchain_entries(analyzer: Analyzer):
 
 def derive(machine: Mbca, analyzer: Analyzer | None = None) -> DerivationContext:
     """Restrict to states keeping both superchain signs reachable, with thresholds."""
-    analyzer = analyzer or Analyzer(machine)
+    analyzer = analyzer or analyzer_for(machine)
     inv = analyzer.invariants()
     if inv.s != 0:
         raise NotDerivable(f"machine is prime (s = {inv.s:+d})")
@@ -158,7 +158,11 @@ def derive(machine: Mbca, analyzer: Analyzer | None = None) -> DerivationContext
 
 def wadge_name(machine: Mbca) -> WadgeName:
     """The recursive name; each derivation strictly decreases m."""
-    analyzer = Analyzer(machine)
+    return memo(machine, "name", lambda: _name_of(machine))
+
+
+def _name_of(machine: Mbca) -> WadgeName:
+    analyzer = analyzer_for(machine)
     blocks: list[NameBlock] = []
     while True:
         inv = analyzer.invariants()
@@ -172,15 +176,11 @@ def wadge_name(machine: Mbca) -> WadgeName:
             break
         blocks.append(NameBlock("E", inv.m, inv.n))
         ctx = derive(analyzer.machine, analyzer)
-        analyzer = Analyzer(ctx.machine, ctx.thresholds)
+        analyzer = analyzer_for(ctx.machine, ctx.thresholds)
         assert analyzer.invariants().m < inv.m, "derivation must shrink m"
     name = WadgeName(tuple(blocks))
     check_name(name)
     return name
-
-
-def machine_class(machine: Mbca) -> InvariantTriple:
-    return Analyzer(machine).invariants()
 
 
 # -- comparison ------------------------------------------------------------------

@@ -12,10 +12,9 @@ makes every claimed value concretely witnessable).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd
 
-from .automaton import LEVEL_ZERO, Configuration, Mbca, MbcaError
+from .automaton import LEVEL_ZERO, Configuration, Mbca, MbcaError, memo
 
 
 class UnreachableTarget(MbcaError):
@@ -83,20 +82,6 @@ class _MoveTable:
             self.pump_capable = frozenset(capable)
 
 
-_move_tables: dict[int, tuple[Mbca, _MoveTable]] = {}
-
-
-def _moves_for(machine: Mbca) -> _MoveTable:
-    cached = _move_tables.get(id(machine))
-    if cached is not None and cached[0] is machine:
-        return cached[1]
-    table = _MoveTable(machine)
-    if len(_move_tables) > 512:
-        _move_tables.clear()
-    _move_tables[id(machine)] = (machine, table)
-    return table
-
-
 def _bfs(moves: _MoveTable, start: tuple[str, int], cap: int):
     """Exact forward exploration with parent pointers, counters <= cap."""
     parents: dict[tuple[str, int], tuple | None] = {start: None}
@@ -132,7 +117,7 @@ class ReachAnalysis:
     def __init__(self, machine: Mbca, start: Configuration):
         self.machine = machine
         self.start = (start.state, start.counter)
-        self._moves = _moves_for(machine)
+        self._moves = memo(machine, "moves", lambda: _MoveTable(machine))
         b = self._moves.cutoff
         self._cap = start.counter + b
         self._parents = _bfs(self._moves, self.start, self._cap)
@@ -268,9 +253,8 @@ def _gain_combo(gains: list[int], need: int) -> dict[int, int]:
     return best[need]
 
 
-@lru_cache(maxsize=8192)
 def analysis(machine: Mbca, start: Configuration) -> ReachAnalysis:
-    return ReachAnalysis(machine, start)
+    return memo(machine, ("reach", start), lambda: ReachAnalysis(machine, start))
 
 
 def reach(machine: Mbca, start: Configuration) -> ReachSet:

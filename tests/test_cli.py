@@ -108,3 +108,45 @@ def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
     assert "0 failed" in out
+
+
+def _usage_error(capsys, argv) -> str:
+    """Run argv, expecting exit 2 and a single ``error:`` line on stderr."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    return lines[0]
+
+
+@pytest.mark.parametrize(
+    "text, word",
+    [
+        ("strategy x role two\nstate s on a -> emit a goto s\n", "'two'"),
+        ("strategy x role 2\nstate s on a -> emit a goto s counter x\n", "'x'"),
+    ],
+    ids=["role", "counter"],
+)
+def test_bad_strategy_number_is_a_usage_error(machine_files, capsys, tmp_path, text, word):
+    path = tmp_path / "bad.strat"
+    path.write_text(text)
+    a1 = machine_files["A1"]
+    line = _usage_error(capsys, ["game", "--machine", a1, "--other", a1, "--strategy", str(path)])
+    assert word in line
+
+
+def test_directory_as_machine_is_a_usage_error(capsys, tmp_path):
+    assert "Is a directory" in _usage_error(capsys, ["classify", "--machine", str(tmp_path)])
+
+
+def test_non_utf8_machine_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "binary.mbca"
+    path.write_bytes(b"\xff\xfe mbca x\n")
+    assert "not UTF-8" in _usage_error(capsys, ["validate", "--machine", str(path)])
+
+
+@pytest.mark.parametrize("command", ["member", "simulate"])
+def test_letter_outside_alphabet_is_a_usage_error(machine_files, capsys, command):
+    line = _usage_error(capsys, [command, "--machine", machine_files["A1"], "--word", "a z ; c"])
+    assert "'z'" in line and "A1" in line
