@@ -82,6 +82,17 @@ class Mbca:
         # built once per instance, outside the compared and hashed fields
         return {(t.source, t.letter, t.level): (t.target, t.delta) for t in self.transitions}
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # every memo lookup hashes the machine; the fields never change, so
+        # the walk over every transition is paid once per instance
+        return hash(
+            (self.name, self.alphabet, self.states, self.initial, self.transitions, self.accept_family)
+        )
+
 
 T = TypeVar("T")
 

@@ -9,6 +9,45 @@ pump-refill bridges; an E class branches a fresh start into a positive and a
 negative copy, with composite names nesting the tail machine behind the
 branch point (tail states keep escape letters to both copies so the residual
 analysis sees exactly the tail).
+
+The six specs with m = 1 and a limit length, C/D/E_1^w and C/D/E_1^w*2, are
+empty: no machine has invariants m = 1 and n = w*p with p >= 1.  A sketch
+against the definitions of ``hierarchy.Analyzer``, assuming what the tests
+check of the layers below: essential sets are the Inf sets of runs (loop
+completeness), and a reach set has a tail exactly when its counters are
+unbounded.  Shifting a run up by t is again a run, because blindness mirrors
+every Z entry at I level.  Let k be the number of states.
+
+1. With m = 1 every site has chain length 1, so every site is a maximal site.
+2. Take a superchain whose omega part is a chain of links, the first being
+   (P, N, dp, dn).  The link needs ``init.at(dp.anchor).tail``, so the anchor
+   a = dp.anchor is reached with unbounded counters.  The counter rises by at
+   most d+ per step, so a run reaching a at a high enough counter repeats a
+   state at a higher counter while staying above k in between.  Between the
+   repeats, some simple cycle C gains.  C has at most k steps and is a pump:
+   iterated from a counter above k it never blocks.  Its states form an
+   essential set, inside some site S.
+3. S is not blocked by ``_prefix_allowed``.  Suppose some link L of the chain
+   reaches an anchor of S at its operating counter.  Every state of a link
+   lies on one of its loops, whose anchors have tails, so the link sources
+   can be taken higher, and so can everything they reach.  Hence from L one
+   can walk to C above k, pump, follow the run of step 2 to a, walk the loops
+   dp and dn of the first link, and follow the link chain back to L.  With
+   enough pumps each round gains, so the round iterates forever.  Its Inf
+   set contains P and N.  That essential set strictly contains the site P,
+   which contradicts P being a maximal essential set.  This covers S = P or
+   S = N too.
+4. S passes ``ok_terminal``.  Every anchor of S has a tail, through C, so
+   ``loop_sources(S)`` start at or above ``high_floor``, which exceeds 2k.
+   From there at most k steps inside S reach C, and pumping, then the run of
+   step 2, reaches a with unbounded counters: ``tail_reaches`` holds.
+5. So ``_alternating_paths`` keeps at least the one-site path S, and the
+   chain gives a superchain of length w*p + s with s >= 1.  Every limit length
+   w*p is thus beaten by w*p + 1, and n is never a limit when m = 1.
+
+``_check_spec`` refuses these six specs for that reason.  The argument rests
+on the loop and reach layers only through the two properties above; the scan
+in ``tests/test_edge_cases.py`` checks it on one family of machines.
 """
 
 from __future__ import annotations

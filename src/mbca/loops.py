@@ -9,9 +9,54 @@ iterates forever.  Z-level walks run from counter zero back to counter zero
 under the full table; blindness makes them replayable from any anchor
 counter, so their minimal anchor counter is zero.
 
-Searches run on the product (state in F) x (visited subset of F) with a
-bounded counter, per candidate set F drawn from induced strongly connected
-subsets; the run-semantics oracle cross-checks the bounds in the tests.
+Candidate sets F are the induced strongly connected subsets of each SCC.
+Whether a loop exists is decided once per set (I-level) or refuted per anchor
+(Z-level) before any search.  The product search ``_search`` over (state in F)
+x (visited subset of F) x (bounded counter) runs only where a loop may exist,
+to find the minimal dip and the witness letters.
+
+I-level existence is cycle arithmetic on F's I-edges, the one-dimensional case
+of Kosaraju & Sullivan (STOC 1988).  F is strongly connected, so a closed walk
+W through the anchor covers F, and any cycle of F can be spliced into W where
+W meets it.  So the answer is the same for every anchor of F.
+
+- ``plus`` exists iff F has a positive cycle: splice in enough copies of it.
+- ``equal`` exists iff F has cycles of both signs, or the tight edges (reduced
+  weight 0) under Bellman–Ford potentials strongly connect F.  Every
+  closed-walk weight is a sum of cycle weights, so a multiple of their gcd g.
+  Cycles of both signs generate all of gZ with nonnegative coefficients, so
+  spliced copies cancel W's weight.  If no cycle is positive (or none is
+  negative), a zero closed walk is a union of zero cycles, whose edges are
+  exactly the tight ones under the longest-path (or shortest-path)
+  potentials.  Conversely, a closed walk on tight edges has weight 0.
+
+Z-level existence is refuted by a counter abstraction.  Values 0..K are exact
+and one class stands for every value above K, with K = d+ + 1, where d+ is the
+machine's largest positive delta.  Moves follow the concrete move function,
+which depends only on whether the counter is zero; a -1 step from the class
+lands on K or stays in it.  I-level deltas are >= -1, so every concrete move
+maps to an abstract move, for every K >= 0.  A concrete closed walk at
+(anchor, 0) covering F therefore maps to an abstract one.  When the
+abstraction has none, the search is skipped; otherwise ``_search`` decides.
+
+Search bounds.  Let N = |F| * 2^|F| count the (state, visited subset) pairs
+and D = d+; deltas are >= -1.  ``rel_cap`` is (N + 1)(D + 1).  A shortest
+covering closed walk W in the product has at most N steps, so its relative
+counter stays in [-N, N*D].
+- ``plus``: if W's weight w is <= 0, splice m copies of a positive simple
+  cycle (weight c, at most |F| steps) where W first meets it, with m least
+  such that w + m*c > 0.  Every prefix then lies between -(N + |F|) and
+  max(N*D, N + |F|*D), which is within rel_cap since D >= 1.
+- ``equal`` from tight edges: along a tight walk the relative counter is a
+  potential difference, at most (|F| - 1) * max(D, 1) in size.
+- ``equal`` from cycles of both signs: no bound is proved here.
+Z-level searches cap the absolute counter at b_z, the same formula over all
+the machine's states.  Cutting repeated up- and down-crossings of a counter
+level shortens a witness only to height N^2 * D, so b_z is not proved either.
+For those two cases the tests check the bounds instead: the lasso oracle must
+realize no Inf set that the loops miss, and the arithmetic must agree with the
+bounded search.  The I-level dip scan also raises ``MbcaError`` if the
+arithmetic promises a loop that no dip up to rel_cap gives.
 """
 
 from __future__ import annotations
@@ -174,11 +219,26 @@ def _search(edge_fn, anchor: int, full_mask: int, lo: int, hi: int, accept):
     return None
 
 
-def _loops_of(machine: Mbca) -> tuple[LoopDescriptor, ...]:
+def _mask(subset) -> int:
+    return sum(1 << i for i in subset)
+
+
+def _closes(anchor: int, fmask: int, kind: str):
+    """The ``_search`` target of a covering closed walk of the given kind."""
+    if kind == "equal":
+        return lambda st, m, r: st == anchor and m == fmask and r == 0
+    return lambda st, m, r: st == anchor and m == fmask and r > 0
+
+
+def _cap(size: int, dplus: int) -> int:
+    """(N + 1)(d+ + 1) for the N = size * 2^size (state, visited subset) pairs."""
+    return (size * (1 << size) + 1) * (dplus + 1)
+
+
+def _edge_lists(machine: Mbca):
+    """States by index, and each state's I-level and Z-level (letter, target, delta) lists."""
     states = list(machine.states)
     idx = {q: i for i, q in enumerate(states)}
-    dplus = machine.max_positive_delta()
-
     i_edges: dict[int, list[tuple[str, int, int]]] = {i: [] for i in range(len(states))}
     z_edges: dict[int, list[tuple[str, int, int]]] = {i: [] for i in range(len(states))}
     for t in machine.transitions:
@@ -187,13 +247,135 @@ def _loops_of(machine: Mbca) -> tuple[LoopDescriptor, ...]:
             i_edges[idx[t.source]].append(entry)
         else:
             z_edges[idx[t.source]].append(entry)
+    return states, i_edges, z_edges
 
+
+def _i_level_sets(machine: Mbca):
+    """Each I-level candidate set F with the I-edges inside F, keyed by state index."""
+    states, i_edges, _ = _edge_lists(machine)
     i_adj = {s: {t for _, t, _ in es} for s, es in i_edges.items()}
+    for subset in _candidate_sets(len(states), i_adj):
+        yield subset, {s: [e for e in i_edges[s] if e[1] in subset] for s in subset}
+
+
+def _z_level_sets(machine: Mbca):
+    """Each Z-level candidate set F with its move function and counter cap.
+
+    The move function gives Z-edges at counter zero and, above zero, I-edges
+    only from states that can still reach a -1 edge inside F.
+    """
+    states, i_edges, z_edges = _edge_lists(machine)
     u_adj = {
         s: {t for _, t, _ in i_edges[s]} | {t for _, t, _ in z_edges[s]}
         for s in range(len(states))
     }
+    b_z = _cap(len(states), machine.max_positive_delta())
+    for subset in _candidate_sets(len(states), u_adj):
+        ze = {s: [e for e in z_edges[s] if e[1] in subset] for s in subset}
+        ie = {s: [e for e in i_edges[s] if e[1] in subset] for s in subset}
+        can_drop = {s for s in subset if any(d < 0 for _, _, d in ie[s])}
+        changed = bool(can_drop)
+        while changed:
+            changed = False
+            for s in subset:
+                if s not in can_drop and any(t in can_drop for _, t, _ in ie[s]):
+                    can_drop.add(s)
+                    changed = True
 
+        def edge_fn(s, rel, _ze=ze, _ie=ie, _can_drop=can_drop):
+            if rel == 0:
+                return _ze[s]
+            if s not in _can_drop:
+                return ()
+            return _ie[s]
+
+        yield subset, edge_fn, b_z if can_drop else 0
+
+
+def _potentials(subset: frozenset[int], arcs: list[tuple[int, int, int]]):
+    """Bellman–Ford shortest-path potentials from a virtual source joined to
+    every state, and whether a negative cycle makes them undefined."""
+    dist = dict.fromkeys(subset, 0)
+    for _ in subset:
+        changed = False
+        for s, t, d in arcs:
+            if dist[s] + d < dist[t]:
+                dist[t] = dist[s] + d
+                changed = True
+        if not changed:
+            return dist, False
+    return dist, True
+
+
+def _i_level_kinds(
+    subset: frozenset[int], edges: dict[int, list[tuple[str, int, int]]]
+) -> tuple[str, ...]:
+    """The kinds of covering closed walk that F's I-edges admit, in search order.
+
+    The answer is the same at every anchor of F; the module docstring argues it.
+    """
+    arcs = [(s, t, d) for s in subset for _, t, d in edges[s]]
+    cycle_signs: set[int] = set()
+    tight_cover = False
+    for sign in (1, -1):  # shortest paths, then longest paths as shortest under -d
+        signed = [(s, t, sign * d) for s, t, d in arcs]
+        dist, cyclic = _potentials(subset, signed)
+        if cyclic:
+            cycle_signs.add(-sign)
+            continue
+        tight: dict[int, set[int]] = {}
+        for s, t, d in signed:
+            if dist[s] + d == dist[t]:
+                tight.setdefault(s, set()).add(t)
+        tight_cover = tight_cover or _induced_strongly_connected(subset, tight)
+    equal = cycle_signs == {1, -1} or tight_cover
+    return tuple(kind for kind, ok in (("equal", equal), ("plus", 1 in cycle_signs)) if ok)
+
+
+def _z_level_may_close(edge_fn, anchor: int, subset: frozenset[int], top: int) -> bool:
+    """Whether the counter abstraction has a closed walk at (anchor, 0) covering F.
+
+    Counters 0..top-1 are exact and ``top`` stands for every larger value; a
+    -1 step from ``top`` may land on top-1 or stay.  An over-approximation of
+    the moves of ``edge_fn``, so False means no concrete walk exists.
+    """
+
+    def successors(node):
+        s, c = node
+        for _, t, d in edge_fn(s, c):
+            if c < top:
+                yield t, min(c + d, top)
+            else:
+                if d < 0:
+                    yield t, top - 1
+                yield t, top
+
+    start = (anchor, 0)
+    seen: set[tuple[int, int]] = set()
+    preds: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    frontier = [start]
+    while frontier:
+        node = frontier.pop()
+        for nxt in successors(node):
+            preds.setdefault(nxt, []).append(node)
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    if start not in seen:
+        return False
+    closing = {start}
+    frontier = [start]
+    while frontier:
+        for prev in preds.get(frontier.pop(), ()):
+            if prev not in closing:
+                closing.add(prev)
+                frontier.append(prev)
+    return {s for s, _ in closing} == subset
+
+
+def _loops_of(machine: Mbca) -> tuple[LoopDescriptor, ...]:
+    states = list(machine.states)
+    dplus = machine.max_positive_delta()
     found: dict[tuple, LoopDescriptor] = {}
 
     def emit(anchor_i, level, subset, kind, dip, cycle):
@@ -211,65 +393,37 @@ def _loops_of(machine: Mbca) -> tuple[LoopDescriptor, ...]:
             )
 
     # I-level: uniform positive-level edges, relative counters, minimal dips.
-    for subset in _candidate_sets(len(states), i_adj):
-        fmask = 0
-        for i in subset:
-            fmask |= 1 << i
-        size = len(subset)
-        rel_cap = (size * (1 << size) + 1) * (dplus + 1)
-        edges = {
-            s: [e for e in i_edges[s] if e[1] in subset] for s in subset
-        }
+    for subset, edges in _i_level_sets(machine):
+        kinds = _i_level_kinds(subset, edges)
+        fmask = _mask(subset)
+        rel_cap = _cap(len(subset), dplus)
 
         def edge_fn(s, rel, _edges=edges):
             return _edges[s]
 
         for anchor in subset:
-            for kind, ok in (
-                ("equal", lambda st, m, r, a=anchor: st == a and m == fmask and r == 0),
-                ("plus", lambda st, m, r, a=anchor: st == a and m == fmask and r > 0),
-            ):
-                if _search(edge_fn, anchor, fmask, -rel_cap, rel_cap, ok) is None:
-                    continue
+            for kind in kinds:
+                ok = _closes(anchor, fmask, kind)
                 for dip in range(rel_cap + 1):
                     cycle = _search(edge_fn, anchor, fmask, -dip, rel_cap, ok)
                     if cycle is not None:
                         emit(anchor, LEVEL_POS, subset, kind, dip, cycle)
                         break
+                else:
+                    raise MbcaError(
+                        f"internal error: cycle arithmetic promises an I-level {kind} "
+                        f"loop on {{{', '.join(states[i] for i in sorted(subset))}}} "
+                        f"at {states[anchor]}, but no dip up to {rel_cap} gives one"
+                    )
 
     # Z-level: full table, absolute counters from zero back to zero.
-    k = len(states)
-    b_z = (k * (1 << k) + 1) * (dplus + 1)
-    for subset in _candidate_sets(len(states), u_adj):
-        fmask = 0
-        for i in subset:
-            fmask |= 1 << i
-        ze = {s: [e for e in z_edges[s] if e[1] in subset] for s in subset}
-        ie = {s: [e for e in i_edges[s] if e[1] in subset] for s in subset}
-        has_negative = any(d < 0 for es in ie.values() for _, _, d in es)
-        cap = b_z if has_negative else 0
-        can_drop: set[int] = set()
-        if has_negative:
-            drop_sources = {s for s in subset if any(d < 0 for _, _, d in ie[s])}
-            can_drop = set(drop_sources)
-            changed = True
-            while changed:
-                changed = False
-                for s in subset:
-                    if s not in can_drop and any(t in can_drop for _, t, _ in ie[s]):
-                        can_drop.add(s)
-                        changed = True
-
-        def edge_fn(s, rel, _ze=ze, _ie=ie, _can_drop=can_drop):
-            if rel == 0:
-                return _ze[s]
-            if s not in _can_drop:
-                return ()
-            return _ie[s]
-
+    top = dplus + 2  # the abstraction keeps 0..K exact, K = d+ + 1
+    for subset, edge_fn, cap in _z_level_sets(machine):
+        fmask = _mask(subset)
         for anchor in subset:
-            ok = lambda st, m, r, a=anchor: st == a and m == fmask and r == 0
-            cycle = _search(edge_fn, anchor, fmask, 0, cap, ok)
+            if not _z_level_may_close(edge_fn, anchor, subset, top):
+                continue
+            cycle = _search(edge_fn, anchor, fmask, 0, cap, _closes(anchor, fmask, "equal"))
             if cycle is not None:
                 emit(anchor, LEVEL_ZERO, subset, "equal", 0, cycle)
 

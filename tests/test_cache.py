@@ -69,3 +69,13 @@ def test_oldest_machine_leaves_first_past_the_bound():
         assert memo(m, "probe", lambda: 1) == 1
     assert len(automaton._memo) == automaton.MEMO_MACHINES
     assert made[0] not in automaton._memo and made[-1] in automaton._memo
+
+
+def test_copy_has_an_equal_hash_and_shares_the_entry():
+    machine = canonical(parse_class_spec("E_3^2 E_2^2 C_1^1"))
+    first = hash(machine)
+    copy = parse_machine(emit_machine(machine))
+    assert copy is not machine and copy == machine
+    assert hash(copy) == hash(machine) == first
+    built = memo(machine, "probe", object)
+    assert memo(copy, "probe", object) is built

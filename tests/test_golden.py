@@ -2,15 +2,17 @@
 
 ``DIGESTS`` holds the sha256 of ``mbca --format structured classify`` for
 every buildable gallery-box spec and every ``machines/*.mbca`` file, so a
-refactor that changes one byte of any report fails here.  The section
-subcommands (``loops``, ``chains``, ``superchains``, ``invariants``) must print
-exactly their sections of that document.  The output does not depend on
+refactor that changes one byte of any report fails here.  ``DEEP_DIGESTS``
+does the same for m >= 3 canonical machines, whose loop enumeration covers
+larger candidate sets.  The section subcommands (``loops``, ``chains``,
+``superchains``, ``invariants``) must print exactly their sections of that
+document.  The output does not depend on
 ``PYTHONHASHSEED``.  When an output change is intended, regenerate the table
 with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and paste what it prints over ``DIGESTS``.
+and paste what it prints over the two tables.
 """
 
 from __future__ import annotations
@@ -74,6 +76,13 @@ DIGESTS = {
     "NONE": "4f736cd68cf85c34a94587d134d4d7805dacf522eeaa8663bc8d4b3b40da9e3f",
 }
 
+DEEP_DIGESTS = {
+    "C_3^w*1": "a72b4eedbae77f5a38f245d5e6d9e9869da716e9eb64564937da3a977bfae2ef",
+    "D_3^w*1+1": "f6a9efe4eb1f350735e725d89fc97940f5c481b57f948a38ef57fec972fda0a4",
+    "C_3^w*2": "7ecb2711d7b97b6edac14049122d823f251413d1d60e5fb54dafcb62abf0c1aa",
+    "C_4^w*1": "1f867c2e7c0da4beca570f07d75601715f1f7207d80bd8f4f1b8d8a9a9b15984",
+}
+
 
 def _labels() -> list[str]:
     return [spec.render() for spec in gallery_box()] + sorted(
@@ -103,12 +112,12 @@ def test_digest_table_covers_the_box_and_machine_files():
     assert sorted(DIGESTS) == sorted(_labels())
 
 
-@pytest.mark.parametrize("label", sorted(DIGESTS))
+@pytest.mark.parametrize("label", sorted(DIGESTS) + sorted(DEEP_DIGESTS))
 def test_structured_output_is_golden(label, tmp_path):
     path = tmp_path / "m.mbca"
     path.write_text(_machine_text(label))
     document = _structured("classify", "--machine", str(path))
-    assert hashlib.sha256(document.encode()).hexdigest() == DIGESTS[label]
+    assert hashlib.sha256(document.encode()).hexdigest() == {**DIGESTS, **DEEP_DIGESTS}[label]
     report = json.loads(document)
     for command, keys in SECTIONS.items():
         want = {key: report[key] for key in keys}
@@ -122,9 +131,10 @@ if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        print("DIGESTS = {")
-        for label in _labels():
-            path = Path(tmp) / "m.mbca"
-            path.write_text(_machine_text(label))
-            print(f'    "{label}": "{_digest(path)}",')
-        print("}")
+        for table, labels in (("DIGESTS", _labels()), ("DEEP_DIGESTS", list(DEEP_DIGESTS))):
+            print(f"{table} = {{")
+            for label in labels:
+                path = Path(tmp) / "m.mbca"
+                path.write_text(_machine_text(label))
+                print(f'    "{label}": "{_digest(path)}",')
+            print("}")

@@ -1,9 +1,12 @@
+import importlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mbca import (
     AnchorUnreachable,
+    MbcaError,
     essential_sets,
     loops,
     member,
@@ -12,7 +15,9 @@ from mbca import (
     witness_word,
 )
 from mbca.loops import admissible
-from conftest import brute_force_inf_sets, random_machine
+from conftest import brute_force_inf_sets, random_counter_free, random_machine
+
+loops_module = importlib.import_module("mbca.loops")  # the package re-exports a function of that name
 
 
 def _loop_keys(machine):
@@ -115,3 +120,52 @@ def test_sign_matches_family(a1, g_omega):
     for machine in (a1, g_omega):
         for d in loops(machine):
             assert d.positive == (d.essential_set in machine.accept_family)
+
+
+@st.composite
+def small_machines(draw):
+    rng = draw(st.randoms(use_true_random=False))
+    n_states = draw(st.integers(2, 5))
+    if draw(st.booleans()):
+        return random_machine(rng, n_states=n_states, n_letters=draw(st.integers(2, 3)))
+    return random_counter_free(rng, n_states=n_states)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_machines())
+def test_loop_existence_matches_the_product_search(machine):
+    """The per-set decisions against the bounded product search they replace."""
+    search, mask, closes = loops_module._search, loops_module._mask, loops_module._closes
+    dplus = machine.max_positive_delta()
+    for subset, edges in loops_module._i_level_sets(machine):
+        kinds = loops_module._i_level_kinds(subset, edges)
+        rel_cap = loops_module._cap(len(subset), dplus)
+        fmask = mask(subset)
+
+        def edge_fn(s, rel):
+            return edges[s]
+
+        for anchor in subset:
+            found = tuple(
+                kind
+                for kind in ("equal", "plus")
+                if search(edge_fn, anchor, fmask, -rel_cap, rel_cap, closes(anchor, fmask, kind))
+                is not None
+            )
+            assert found == kinds, (machine, subset, anchor)
+    for subset, edge_fn, cap in loops_module._z_level_sets(machine):
+        fmask = mask(subset)
+        for anchor in subset:
+            closed = closes(anchor, fmask, "equal")
+            # the abstraction is sound for every K = top - 1 >= 0
+            for top in (1, dplus + 2):
+                if not loops_module._z_level_may_close(edge_fn, anchor, subset, top):
+                    assert search(edge_fn, anchor, fmask, 0, cap, closed) is None
+
+
+def test_a_promised_loop_without_a_witness_is_an_internal_error(monkeypatch):
+    # one state whose only cycle gains: no equal loop exists at any dip
+    machine = validate("promise", ["a"], ["q"], "q", [("q", "a", "I", "q", 1)], [])
+    monkeypatch.setattr(loops_module, "_i_level_kinds", lambda subset, edges: ("equal",))
+    with pytest.raises(MbcaError, match=r"I-level equal loop on \{q\} at q"):
+        loops(machine)
