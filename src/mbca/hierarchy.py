@@ -261,16 +261,12 @@ class Analyzer:
         return max(d.min_anchor_counter, self.threshold(d.anchor))
 
     def _cycle_net(self, d: LoopDescriptor) -> int:
-        base = d.dip + 1
-        counter = base
-        state = d.anchor
+        # only plus descriptors come here; they are I-level, so every letter has an I-entry
+        net, state = 0, d.anchor
         for letter in d.cycle:
-            move = self.machine.entry(state, letter, LEVEL_POS)
-            if move is None:  # Z-level cycle letters replay through blind twins
-                move = self.machine.entry(state, letter, "Z")
-            state, delta = move[0], move[1]
-            counter += delta
-        return counter - base
+            state, delta = self.machine.entry(state, letter, LEVEL_POS)
+            net += delta
+        return net
 
     def loop_sources(self, essential_set: frozenset[str]) -> list[Configuration]:
         """Configurations from which everything reachable while iterating some

@@ -9,7 +9,9 @@ iterates forever.  Z-level walks run from counter zero back to counter zero
 under the full table; blindness makes them replayable from any anchor
 counter, so their minimal anchor counter is zero.
 
-Candidate sets F are the induced strongly connected subsets of each SCC.
+Candidate sets F are the induced strongly connected subsets of each SCC, read
+off the machine's compiled form ``Mbca.moves``.  An SCC is the forward and
+backward closure of a state not yet placed in one.
 Whether a loop exists is decided once per set (I-level) or refuted per anchor
 (Z-level) before any search.  The product search ``_search`` over (state in F)
 x (visited subset of F) x (bounded counter) runs only where a loop may exist,
@@ -92,54 +94,24 @@ class LoopDescriptor:
         return "positive" if self.positive else "negative"
 
 
-def _tarjan_sccs(nodes: list[int], adj: dict[int, set[int]]) -> list[set[int]]:
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on_stack: set[int] = set()
-    stack: list[int] = []
-    sccs: list[set[int]] = []
-    counter = [0]
+def _closure(seed: int, within, adj: dict[int, set[int]]) -> set[int]:
+    """The states of ``within`` reachable from ``seed`` by edges inside ``within``."""
+    seen = {seed}
+    frontier = [seed]
+    while frontier:
+        for w in adj.get(frontier.pop(), ()):
+            if w in within and w not in seen:
+                seen.add(w)
+                frontier.append(w)
+    return seen
 
-    def strongconnect(v: int):
-        work = [(v, iter(sorted(adj.get(v, ()))))]
-        index[v] = low[v] = counter[0]
-        counter[0] += 1
-        stack.append(v)
-        on_stack.add(v)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(sorted(adj.get(w, ())))))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    low[node] = min(low[node], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                scc = set()
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    scc.add(w)
-                    if w == node:
-                        break
-                sccs.append(scc)
 
-    for v in nodes:
-        if v not in index:
-            strongconnect(v)
-    return sccs
+def _reverse(adj: dict[int, set[int]]) -> dict[int, set[int]]:
+    radj: dict[int, set[int]] = {}
+    for v, targets in adj.items():
+        for w in targets:
+            radj.setdefault(w, set()).add(v)
+    return radj
 
 
 def _induced_strongly_connected(subset: frozenset[int], adj: dict[int, set[int]]) -> bool:
@@ -149,34 +121,21 @@ def _induced_strongly_connected(subset: frozenset[int], adj: dict[int, set[int]]
         (v,) = subset
         return v in adj.get(v, ())
     seed = next(iter(subset))
-    fwd = {seed}
-    frontier = [seed]
-    while frontier:
-        v = frontier.pop()
-        for w in adj.get(v, ()):
-            if w in subset and w not in fwd:
-                fwd.add(w)
-                frontier.append(w)
-    if fwd != subset:
+    if _closure(seed, subset, adj) != subset:
         return False
-    radj: dict[int, set[int]] = {}
-    for v in subset:
-        for w in adj.get(v, ()):
-            if w in subset:
-                radj.setdefault(w, set()).add(v)
-    back = {seed}
-    frontier = [seed]
-    while frontier:
-        v = frontier.pop()
-        for w in radj.get(v, ()):
-            if w not in back:
-                back.add(w)
-                frontier.append(w)
-    return back == subset
+    return _closure(seed, subset, _reverse({v: adj.get(v, ()) for v in subset})) == subset
 
 
 def _candidate_sets(n: int, adj: dict[int, set[int]]):
-    for scc in _tarjan_sccs(list(range(n)), adj):
+    # each SCC is the forward and backward closure of a state not yet placed;
+    # a path between two states of one SCC never leaves it, so placed states
+    # can be left out of later closures
+    radj = _reverse(adj)
+    left = set(range(n))
+    while left:
+        seed = min(left)
+        scc = _closure(seed, left, adj) & _closure(seed, left, radj)
+        left -= scc
         members = sorted(scc)
         if len(members) > 16:
             raise MbcaError("candidate enumeration beyond desk scale (> 16 states in one SCC)")
@@ -235,27 +194,12 @@ def _cap(size: int, dplus: int) -> int:
     return (size * (1 << size) + 1) * (dplus + 1)
 
 
-def _edge_lists(machine: Mbca):
-    """States by index, and each state's I-level and Z-level (letter, target, delta) lists."""
-    states = list(machine.states)
-    idx = {q: i for i, q in enumerate(states)}
-    i_edges: dict[int, list[tuple[str, int, int]]] = {i: [] for i in range(len(states))}
-    z_edges: dict[int, list[tuple[str, int, int]]] = {i: [] for i in range(len(states))}
-    for t in machine.transitions:
-        entry = (t.letter, idx[t.target], t.delta)
-        if t.level == LEVEL_POS:
-            i_edges[idx[t.source]].append(entry)
-        else:
-            z_edges[idx[t.source]].append(entry)
-    return states, i_edges, z_edges
-
-
 def _i_level_sets(machine: Mbca):
     """Each I-level candidate set F with the I-edges inside F, keyed by state index."""
-    states, i_edges, _ = _edge_lists(machine)
-    i_adj = {s: {t for _, t, _ in es} for s, es in i_edges.items()}
-    for subset in _candidate_sets(len(states), i_adj):
-        yield subset, {s: [e for e in i_edges[s] if e[1] in subset] for s in subset}
+    pos = machine.moves.pos
+    i_adj = {s: {t for _, t, _ in edges} for s, edges in enumerate(pos)}
+    for subset in _candidate_sets(len(pos), i_adj):
+        yield subset, {s: [e for e in pos[s] if e[1] in subset] for s in subset}
 
 
 def _z_level_sets(machine: Mbca):
@@ -264,15 +208,12 @@ def _z_level_sets(machine: Mbca):
     The move function gives Z-edges at counter zero and, above zero, I-edges
     only from states that can still reach a -1 edge inside F.
     """
-    states, i_edges, z_edges = _edge_lists(machine)
-    u_adj = {
-        s: {t for _, t, _ in i_edges[s]} | {t for _, t, _ in z_edges[s]}
-        for s in range(len(states))
-    }
-    b_z = _cap(len(states), machine.max_positive_delta())
-    for subset in _candidate_sets(len(states), u_adj):
-        ze = {s: [e for e in z_edges[s] if e[1] in subset] for s in subset}
-        ie = {s: [e for e in i_edges[s] if e[1] in subset] for s in subset}
+    zero, pos = machine.moves.zero, machine.moves.pos
+    u_adj = {s: {t for _, t, _ in pos[s] + zero[s]} for s in range(len(pos))}
+    b_z = _cap(len(pos), machine.moves.dplus)
+    for subset in _candidate_sets(len(pos), u_adj):
+        ze = {s: [e for e in zero[s] if e[1] in subset] for s in subset}
+        ie = {s: [e for e in pos[s] if e[1] in subset] for s in subset}
         can_drop = {s for s in subset if any(d < 0 for _, _, d in ie[s])}
         changed = bool(can_drop)
         while changed:

@@ -7,6 +7,12 @@ cycle somewhere en route; tails are reported as a single arithmetic
 progression whose threshold sits above the finite picture and whose period is
 the gcd of the cycle gains combinable at one pump state (a Frobenius slack
 makes every claimed value concretely witnessable).
+
+Every search runs on the machine's compiled form ``Mbca.moves``, over
+(state index, counter) pairs; names appear only in the results.  An analysis
+keeps its answers, not its search trees: ``path_to`` rebuilds the parent maps
+it needs by re-running the same deterministic searches, so its letters do not
+depend on whether the maps were kept.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .automaton import LEVEL_ZERO, Configuration, Mbca, MbcaError, memo
+from .automaton import Configuration, Mbca, MbcaError, Moves, memo
 
 
 class UnreachableTarget(MbcaError):
@@ -57,38 +63,28 @@ class ReachSet:
 
 def cutoff(machine: Mbca) -> int:
     k = len(machine.states)
-    return (k + 1) * (machine.max_positive_delta() + 1) * (k + 2)
+    return (k + 1) * (machine.moves.dplus + 1) * (k + 2)
 
 
-class _MoveTable:
-    """Per-state successor lists, split by level, plus machine-level pump hints."""
-
-    def __init__(self, machine: Mbca):
-        self.zero: dict[str, list[tuple[str, str, int]]] = {q: [] for q in machine.states}
-        self.pos: dict[str, list[tuple[str, str, int]]] = {q: [] for q in machine.states}
-        for t in machine.transitions:
-            bucket = self.zero if t.level == LEVEL_ZERO else self.pos
-            bucket[t.source].append((t.letter, t.target, t.delta))
-        self.cutoff = cutoff(machine)
-        if machine.max_positive_delta() == 0:
-            self.pump_capable: frozenset[str] = frozenset()
-        else:
-            capable = []
-            probe = self.cutoff
-            for q in machine.states:
-                local = _bfs(self, (q, probe), probe + self.cutoff)
-                if any(s == q and c > probe for (s, c) in local):
-                    capable.append(q)
-            self.pump_capable = frozenset(capable)
+def _pump_states(machine: Mbca) -> tuple[int, ...]:
+    """States, in state order, that regain a high counter with a net gain."""
+    if machine.moves.dplus == 0:
+        return ()
+    probe = cutoff(machine)
+    return tuple(
+        q
+        for q in range(len(machine.states))
+        if any(s == q and c > probe for s, c in _bfs(machine.moves, (q, probe), 2 * probe))
+    )
 
 
-def _bfs(moves: _MoveTable, start: tuple[str, int], cap: int):
+def _bfs(moves: Moves, start: tuple[int, int], cap: int):
     """Exact forward exploration with parent pointers, counters <= cap."""
-    parents: dict[tuple[str, int], tuple | None] = {start: None}
+    parents: dict[tuple[int, int], tuple | None] = {start: None}
     frontier = [start]
     zero, pos = moves.zero, moves.pos
     while frontier:
-        nxt: list[tuple[str, int]] = []
+        nxt: list[tuple[int, int]] = []
         for cfg in frontier:
             state, counter = cfg
             for letter, target, delta in (zero if counter == 0 else pos)[state]:
@@ -101,7 +97,7 @@ def _bfs(moves: _MoveTable, start: tuple[str, int], cap: int):
     return parents
 
 
-def _path_letters(parents, target: tuple[str, int]) -> list[str]:
+def _path_letters(parents, target: tuple[int, int]) -> list[str]:
     letters: list[str] = []
     cfg = target
     while parents[cfg] is not None:
@@ -112,103 +108,87 @@ def _path_letters(parents, target: tuple[str, int]) -> list[str]:
 
 
 class ReachAnalysis:
-    """reach() result with enough bookkeeping to rebuild witness paths."""
+    """reach() result plus the pump parameters that rebuild witness paths.
+
+    Only answers are kept: the counter sets, each pump's (hi, gains, sat) and
+    each tail's (pump, arrival counter).  ``path_to`` re-runs the same
+    deterministic searches that produced them.
+    """
 
     def __init__(self, machine: Mbca, start: Configuration):
         self.machine = machine
-        self.start = (start.state, start.counter)
-        self._moves = memo(machine, "moves", lambda: _MoveTable(machine))
-        b = self._moves.cutoff
+        moves = machine.moves
+        self._start = (moves.index[start.state], start.counter)
+        self._b = b = cutoff(machine)
         self._cap = start.counter + b
-        self._parents = _bfs(self._moves, self.start, self._cap)
-        found: dict[str, set[int]] = {}
-        for state, counter in self._parents:
+        found: dict[int, set[int]] = {}
+        for state, counter in _bfs(moves, self._start, self._cap):
             found.setdefault(state, set()).add(counter)
-        self._found = found
-        self._pumps = self._find_pumps(b)
-        self._tails = self._build_tails(b)
-        per_state = {
-            q: StateReach(frozenset(values), self._tails[q][0] if q in self._tails else None)
-            for q, values in found.items()
-        }
-        # thresholds sit above the finite picture, so the finite part stays exact
-        self.reach_set = ReachSet(per_state)
-
-    # -- pumping --------------------------------------------------------
-
-    def _find_pumps(self, b: int):
-        """Per pump-capable state, the cycle gains from its highest explored counter.
-
-        Any genuinely iterable positive cycle is valid from some explored
-        configuration, hence (shift monotonicity) from the highest one.
-        """
-        pumps = {}
-        for p in self._moves.pump_capable:
-            if p not in self._found:
+        self._pumps: dict[int, tuple[int, list[int], int]] = {}
+        tails: dict[int, tuple[tuple[int, int], int, int | None]] = {}
+        for p in memo(machine, "pumps", lambda: _pump_states(machine)):
+            # any iterable positive cycle is valid from some explored
+            # configuration, hence (shift monotonicity) from the highest one
+            if p not in found:
                 continue
-            hi = max(self._found[p])
-            local = _bfs(self._moves, (p, hi), hi + b)
-            gains = sorted(c - hi for (s, c) in local if s == p and c > hi)
-            if gains:
-                pumps[p] = (hi, gains, local)
-        return pumps
-
-    def _build_tails(self, b: int):
-        tails: dict[str, tuple[tuple[int, int], dict]] = {}
-        for p, (hi, gains, cycle_parents) in self._pumps.items():
+            hi = max(found[p])
+            gains = sorted(c - hi for s, c in _bfs(moves, (p, hi), hi + b) if s == p and c > hi)
+            if not gains:
+                continue
             g = gains[0]
             for extra in gains[1:]:
                 g = gcd(g, extra)
             slack = _semigroup_slack(gains, g)
             sat = hi + slack + (b // g + 1) * g
-            arrivals = _bfs(self._moves, (p, sat), sat + b)
+            self._pumps[p] = (hi, gains, sat)
             # the pump state itself: every multiple of g above the slack zone
-            own = ((hi + slack, g), {"pump": p, "sat": sat, "arrival": None, "arrivals": None})
             current = tails.get(p)
             if current is None or (g, hi + slack) < (current[0][1], current[0][0]):
-                tails[p] = own
-            for state, counter in arrivals:
+                tails[p] = ((hi + slack, g), p, None)
+            for state, counter in _bfs(moves, (p, sat), sat + b):
                 current = tails.get(state)
                 if current is None or (g, counter) < (current[0][1], current[0][0]):
-                    tails[state] = (
-                        (counter, g),
-                        {"pump": p, "sat": sat, "arrival": (state, counter), "arrivals": arrivals},
-                    )
-        out: dict[str, tuple[tuple[int, int], dict]] = {}
-        for q, ((base, g), info) in tails.items():
-            top = max(self._found.get(q, {base}))
+                    tails[state] = ((counter, g), p, counter)
+        self._tails = {}
+        for q, ((base, g), p, arrival) in tails.items():
+            top = max(found.get(q, {base}))
             t = base
             if t <= top:
                 t += ((top - t) // g + 1) * g
-            out[q] = ((t, g), info)
-        return out
-
-    # -- witness reconstruction -----------------------------------------
+            self._tails[q] = ((t, g), p, arrival)
+        # thresholds sit above the finite picture, so the finite part stays exact
+        self.reach_set = ReachSet(
+            {
+                machine.states[q]: StateReach(
+                    frozenset(values), self._tails[q][0] if q in self._tails else None
+                )
+                for q, values in found.items()
+            }
+        )
 
     def path_to(self, target: Configuration) -> list[str]:
         """Letters of a concrete path from the start to the target configuration."""
-        key = (target.state, target.counter)
-        if key in self._parents:
-            return _path_letters(self._parents, key)
-        if target.state not in self._tails or not self.reach_set.at(target.state).contains(
-            target.counter
-        ):
+        moves, b = self.machine.moves, self._b
+        state_reach = self.reach_set.at(target.state)
+        if target.counter in state_reach.finite:
+            key = (moves.index[target.state], target.counter)
+            return _path_letters(_bfs(moves, self._start, self._cap), key)
+        if not state_reach.contains(target.counter):
             raise UnreachableTarget(f"{target} is not a known-reachable configuration")
-        (_t, _g), meta = self._tails[target.state]
-        p = meta["pump"]
-        hi, gains, cycle_parents = self._pumps[p]
-        arrival = meta["arrival"]
+        q = moves.index[target.state]
+        _, p, arrival = self._tails[q]
+        hi, gains, sat = self._pumps[p]
         if arrival is None:  # tail at the pump state itself
             need = target.counter - hi
         else:
-            need = target.counter - arrival[1] + (meta["sat"] - hi)
+            need = target.counter - arrival + (sat - hi)
         combo = _gain_combo(gains, need)
-        letters = _path_letters(self._parents, (p, hi))
+        letters = _path_letters(_bfs(moves, self._start, self._cap), (p, hi))
+        cycles = _bfs(moves, (p, hi), hi + b)
         for gain, count in sorted(combo.items()):
-            cycle = _path_letters(cycle_parents, (p, hi + gain))
-            letters.extend(cycle * count)
+            letters.extend(_path_letters(cycles, (p, hi + gain)) * count)
         if arrival is not None:
-            letters.extend(_path_letters(meta["arrivals"], arrival))
+            letters.extend(_path_letters(_bfs(moves, (p, sat), sat + b), (q, arrival)))
         return letters
 
 
@@ -234,23 +214,43 @@ def _semigroup_slack(gains: list[int], g: int) -> int:
 
 
 def _gain_combo(gains: list[int], need: int) -> dict[int, int]:
-    """Express ``need`` as a non-negative combination of the cycle gains."""
-    best: dict[int, dict[int, int]] = {0: {}}
+    """Express ``need`` as a non-negative combination of the cycle gains.
+
+    A breadth-first search over totals, gains in ascending order, so the
+    combination uses the fewest cycles.  Each total's new sums are one shift
+    of the gains' bitset.  The last layer is not built: the first total of
+    the frontier one gain short of ``need`` closes it, which is where the
+    full layer would have found ``need`` first.
+    """
+    gain_bits = 0
+    for gain in gains:
+        gain_bits |= 1 << gain
+    window = (1 << (need + 1)) - 1
+    seen = 1
+    parent: dict[int, tuple[int, int] | None] = {0: None}
     frontier = [0]
-    while frontier and need not in best:
+    while need not in parent:
+        closing = next((t for t in frontier if need > t and gain_bits >> (need - t) & 1), None)
+        if closing is not None:
+            parent[need] = (closing, need - closing)
+            break
         nxt = []
         for total in frontier:
-            for gain in gains:
-                s = total + gain
-                if s <= need and s not in best:
-                    combo = dict(best[total])
-                    combo[gain] = combo.get(gain, 0) + 1
-                    best[s] = combo
-                    nxt.append(s)
+            new = (gain_bits << total) & window & ~seen
+            seen |= new
+            while new:  # lowest bit first: ascending gains
+                s = (new & -new).bit_length() - 1
+                parent[s] = (total, s - total)
+                nxt.append(s)
+                new &= new - 1
+        if not nxt:
+            raise UnreachableTarget(f"gain {need} is not a combination of {gains}")
         frontier = nxt
-    if need not in best:
-        raise UnreachableTarget(f"gain {need} is not a combination of {gains}")
-    return best[need]
+    combo: dict[int, int] = {}
+    while parent[need] is not None:
+        need, gain = parent[need]
+        combo[gain] = combo.get(gain, 0) + 1
+    return combo
 
 
 def analysis(machine: Mbca, start: Configuration) -> ReachAnalysis:

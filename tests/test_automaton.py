@@ -58,6 +58,21 @@ def test_dangling_reference():
     assert rules == {"DanglingReference"}
 
 
+def test_duplicate_names_are_reported():
+    text = """
+mbca dup
+alphabet a a b
+states q p q
+initial q
+trans q a Z q 0
+trans q a I q 0
+"""
+    with pytest.raises(InvalidMachine) as err:
+        parse_machine(text)
+    duplicates = [v.detail for v in err.value.violations if v.rule == "DuplicateName"]
+    assert duplicates == ["state 'q' declared 2 times", "letter 'a' declared 2 times"]
+
+
 def test_step_on_a1(a1):
     assert step(a1, Configuration("q0", 0), "a") == Configuration("q0", 1)
     assert step(a1, Configuration("q1", 0), "b") is None

@@ -46,6 +46,14 @@ def test_validate_exit_codes(machine_files, capsys):
     assert "BlindnessViolation" in out
 
 
+def test_duplicate_names_fail_validation(capsys, tmp_path):
+    path = tmp_path / "dup.mbca"
+    path.write_text("mbca dup\nalphabet a a b\nstates q p q\ninitial q\n")
+    assert main(["validate", "--machine", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("invalid") and out.count("DuplicateName") == 2
+
+
 def test_usage_error_exit_code(machine_files):
     with pytest.raises(SystemExit) as err:
         main(["member", "--machine", machine_files["A1"]])  # missing --word

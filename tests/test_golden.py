@@ -6,13 +6,16 @@ refactor that changes one byte of any report fails here.  ``DEEP_DIGESTS``
 does the same for m >= 3 canonical machines, whose loop enumeration covers
 larger candidate sets.  The section subcommands (``loops``, ``chains``,
 ``superchains``, ``invariants``) must print exactly their sections of that
-document.  The output does not depend on
-``PYTHONHASHSEED``.  When an output change is intended, regenerate the table
-with
+document.  ``WITNESS_DIGEST`` pins the letters of every admissible loop's
+witness word on the same machines, and ``PATH_DIGEST`` the ``path_to``
+letters of the initial reach analysis of ``E_2^w*2``: the highest finite
+value and the first tail values of each state.  The output does not depend
+on ``PYTHONHASHSEED``.  When an output change is intended, regenerate the
+tables with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and paste what it prints over the two tables.
+and paste what it prints over them.
 """
 
 from __future__ import annotations
@@ -25,7 +28,9 @@ from pathlib import Path
 
 import pytest
 
-from mbca import emit_machine, loops, parse_machine
+from mbca import Configuration, emit_machine, loops, parse_machine, witness_word
+from mbca.loops import admissible
+from mbca.reachability import analysis
 from mbca.cli import main
 from mbca.gallery import canonical, gallery_box, parse_class_spec
 
@@ -83,6 +88,11 @@ DEEP_DIGESTS = {
     "C_4^w*1": "1f867c2e7c0da4beca570f07d75601715f1f7207d80bd8f4f1b8d8a9a9b15984",
 }
 
+WITNESS_DIGEST = "4d2c717ee9107fdd044aea14581624541eb05c657753620f5f0b49e858a3cde9"
+PATH_DIGEST = "49937e4d79ab8b06f3527c4eb7b19185e10a1254ce6fd2be8585c3a927b40407"
+PATH_MACHINE = "E_2^w*2 E"
+TAIL_VALUES = 2
+
 
 def _labels() -> list[str]:
     return [spec.render() for spec in gallery_box()] + sorted(
@@ -127,6 +137,41 @@ def test_structured_output_is_golden(label, tmp_path):
         assert _structured(command, "--machine", str(path)) == rendered, command
 
 
+def _witness_digest() -> str:
+    lines = []
+    for label in _labels():
+        machine = parse_machine(_machine_text(label))
+        for d in loops(machine):
+            if admissible(machine, d):
+                word = witness_word(machine, d)
+                key = (d.anchor, d.level, sorted(d.essential_set), d.delta_kind)
+                lines.append(repr((label, key, word.prefix, word.period)))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def _path_digest() -> str:
+    machine = parse_machine(_machine_text(PATH_MACHINE))
+    ra = analysis(machine, machine.initial_configuration())
+    lines = []
+    for q in machine.states:
+        sr = ra.reach_set.at(q)
+        counters = [max(sr.finite)] if sr.finite else []
+        if sr.tail is not None:
+            t, g = sr.tail
+            counters += [t + k * g for k in range(TAIL_VALUES)]
+        for c in counters:
+            lines.append(repr((q, c, ra.path_to(Configuration(q, c)))))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_witness_words_are_golden():
+    assert _witness_digest() == WITNESS_DIGEST
+
+
+def test_path_to_letters_are_golden():
+    assert _path_digest() == PATH_DIGEST
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -138,3 +183,5 @@ if __name__ == "__main__":
                 path.write_text(_machine_text(label))
                 print(f'    "{label}": "{_digest(path)}",')
             print("}")
+    print(f'WITNESS_DIGEST = "{_witness_digest()}"')
+    print(f'PATH_DIGEST = "{_path_digest()}"')

@@ -163,6 +163,38 @@ def test_loop_existence_matches_the_product_search(machine):
                     assert search(edge_fn, anchor, fmask, 0, cap, closed) is None
 
 
+def _brute_force_strongly_connected(n, arcs):
+    """Every nonempty subset S of range(n) whose arcs inside S connect any
+    state of S to any other (a single state needs a self-loop)."""
+    found = set()
+    for bits in range(1, 1 << n):
+        subset = frozenset(i for i in range(n) if bits >> i & 1)
+        inside = {(s, t) for s, t in arcs if s in subset and t in subset}
+        reach = set(inside)
+        while True:
+            more = {(s, u) for s, t in reach for t2, u in inside if t == t2} - reach
+            if not more:
+                break
+            reach |= more
+        if all((s, t) in reach for s in subset for t in subset):
+            found.add(subset)
+    return found
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(2, 7), st.integers(1, 3))
+def test_candidate_sets_are_the_induced_strongly_connected_subsets(rng, n_states, n_letters):
+    machine = random_machine(rng, n_states=n_states, n_letters=n_letters)
+    index = {q: i for i, q in enumerate(machine.states)}
+    arcs = {t: (index[t.source], index[t.target]) for t in machine.transitions}
+    i_arcs = {arc for t, arc in arcs.items() if t.level == "I"}
+    for graph in (i_arcs, set(arcs.values())):
+        adj = {s: {t for u, t in graph if u == s} for s in range(n_states)}
+        sets = list(loops_module._candidate_sets(n_states, adj))
+        assert len(sets) == len(set(sets))
+        assert set(sets) == _brute_force_strongly_connected(n_states, graph), machine
+
+
 def test_a_promised_loop_without_a_witness_is_an_internal_error(monkeypatch):
     # one state whose only cycle gains: no equal loop exists at any dip
     machine = validate("promise", ["a"], ["q"], "q", [("q", "a", "I", "q", 1)], [])

@@ -1,8 +1,42 @@
 import random
 
+from hypothesis import given, settings, strategies as st
+
 from mbca import Configuration, min_counter_to, reach, reachable_unbounded, validate
-from mbca.reachability import analysis
+from mbca.reachability import UnreachableTarget, _gain_combo, analysis
 from conftest import bfs_reach_oracle, random_machine
+
+
+def _gain_combo_reference(gains, need):
+    """Breadth-first search over totals that copies each total's combination."""
+    best = {0: {}}
+    frontier = [0]
+    while frontier and need not in best:
+        nxt = []
+        for total in frontier:
+            for gain in gains:
+                s = total + gain
+                if s <= need and s not in best:
+                    combo = dict(best[total])
+                    combo[gain] = combo.get(gain, 0) + 1
+                    best[s] = combo
+                    nxt.append(s)
+        frontier = nxt
+    return best.get(need)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sets(st.integers(1, 40), min_size=1, max_size=5), st.integers(0, 150))
+def test_gain_combo_matches_the_reference_search(gains, need):
+    gains = sorted(gains)
+    want = _gain_combo_reference(gains, need)
+    if want is None:
+        try:
+            _gain_combo(gains, need)
+        except UnreachableTarget:
+            return
+        raise AssertionError(f"{need} is not a combination of {gains}")
+    assert _gain_combo(gains, need) == want
 
 
 def test_pump_machine_tail():
