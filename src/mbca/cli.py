@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from pathlib import Path
 
 from .arena import copycat, default_suite, parse_strategy, play, validate_strategy
@@ -331,7 +332,9 @@ def _cmd_selftest(args) -> int:
     return 0 if failed == 0 else 1
 
 
-def main(argv=None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept: it never changes."""
     parser = argparse.ArgumentParser(
         prog="mbca",
         description="Analyze blind-counter Muller automata and their Wadge classes",
@@ -366,8 +369,11 @@ def main(argv=None) -> int:
     game.add_argument("--horizon", type=int, default=10_000)
     game.set_defaults(func=_cmd_game)
     add("selftest", _cmd_selftest)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except InvalidMachine as err:

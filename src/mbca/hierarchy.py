@@ -286,7 +286,7 @@ class Analyzer:
                 if net > 0 and entry < high:
                     entry += ((high - entry + net - 1) // net) * net
             else:
-                entry = max(v for v in sr.finite if v >= opmin)
+                entry = sr.max_finite()  # at least opmin, since entry was found
             sources.append(Configuration(d.anchor, entry))
         return sources
 
@@ -362,8 +362,8 @@ class Analyzer:
             sr = init.at(s)
             if sr.tail is not None:
                 sources.append(Configuration(s, sr.least_value_at_least(high)))
-            elif sr.finite:
-                sources.append(Configuration(s, max(sr.finite)))
+            elif sr.bits:
+                sources.append(Configuration(s, sr.max_finite()))
         return sources
 
     def _link_edges(self):

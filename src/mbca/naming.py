@@ -55,6 +55,9 @@ class WadgeName:
         return " ".join(parts)
 
 
+_ONE = OrdinalW2(0, 1)  # built once: check_name runs on every compare
+
+
 def check_name(name: WadgeName) -> None:
     prev_m = None
     for i, block in enumerate(name.blocks):
@@ -66,7 +69,7 @@ def check_name(name: WadgeName) -> None:
             raise MalformedName("block m must be positive")
         if prev_m is not None and block.m >= prev_m:
             raise MalformedName("block m values must strictly decrease")
-        if block.alpha < OrdinalW2(0, 1):
+        if block.alpha < _ONE:
             raise MalformedName("indexed blocks need alpha >= 1")
         prev_m = block.m
 

@@ -1,6 +1,7 @@
 """Reachable counter sets per state: exact bounded core plus pumped tails.
 
-The bounded core is a plain BFS over configurations up to the cutoff
+The bounded core is every configuration reachable from the start along a path
+whose counters stay at or below the cap start + B, with the cutoff
 B = (|K|+1) * (max positive delta + 1) * (|K|+2), which is conservative for
 desk-scale machines.  Unboundedness at a state is witnessed by a positive
 cycle somewhere en route; tails are reported as a single arithmetic
@@ -8,16 +9,42 @@ progression whose threshold sits above the finite picture and whose period is
 the gcd of the cycle gains combinable at one pump state (a Frobenius slack
 makes every claimed value concretely witnessable).
 
+Sets are bitsets.  ``_reach_bits`` keeps one Python int per state, bit c set
+when (state, c) is reachable, and runs a worklist of each state's new bits to
+its fixpoint: a Z-level move fires from bit 0 and lands at its delta if that
+is within the cap, an I-level move shifts every bit above 0 by its delta,
+masked to the cap.  The main set (and its highest value per state), the pump
+states, the pump gains and the tail arrivals are all read off such bitsets.
+
+Before a state's new bits move on, every simple I-level cycle through it is
+accelerated.  A cycle, read from that state, has a gain g != 0, a ``need``
+(the least start counter that keeps every step at I-level, 1 minus its
+lowest proper prefix sum) and a ``peak`` (its highest prefix sum).  One trip
+from c is a concrete path inside [0, cap] exactly when
+need <= c <= cap - peak.  That window is an interval, so k trips from c stay
+inside the cap when the first and the last trip start inside the window, and
+doubling the shift (g, 2g, 4g, ...) saturates every start in the window in
+O(log cap) shifts; one more shift by g gives the arrivals.  Exactness: the
+acceleration adds only configurations that a concrete path inside the cap
+reaches, and the worklist still applies every single move until nothing is
+new, so it adds every configuration such a path reaches.  The result is the
+breadth-first search's set, whichever cycles were accelerated.  The cycles
+are enumerated once per machine under a step budget, which therefore
+affects speed only, never results.
+
 Every search runs on the machine's compiled form ``Mbca.moves``, over
 (state index, counter) pairs; names appear only in the results.  An analysis
-keeps its answers, not its search trees: ``path_to`` rebuilds the parent maps
-it needs by re-running the same deterministic searches, so its letters do not
-depend on whether the maps were kept.
+keeps its answers, not its search trees.  The explicit breadth-first search
+``_bfs`` is kept only for ``path_to`` witnesses: it fixes each parent when
+the configuration is first discovered, so it stops after the layer in which
+its last target is discovered, and its letters do not depend on where it
+stops.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 
 from .automaton import Configuration, Mbca, MbcaError, Moves, memo
@@ -29,11 +56,18 @@ class UnreachableTarget(MbcaError):
 
 @dataclass(frozen=True)
 class StateReach:
-    finite: frozenset[int]
+    bits: int  # bit c set: counter c is reachable inside the cap
     tail: tuple[int, int] | None  # (threshold, period): threshold + k*period all reachable
 
+    @cached_property
+    def finite(self) -> frozenset[int]:
+        return frozenset(_values(self.bits))
+
+    def max_finite(self) -> int | None:
+        return self.bits.bit_length() - 1 if self.bits else None
+
     def contains(self, value: int) -> bool:
-        if value in self.finite:
+        if value >= 0 and self.bits >> value & 1:
             return True
         if self.tail is None:
             return False
@@ -41,16 +75,18 @@ class StateReach:
         return value >= t and (value - t) % d == 0
 
     def has_value_at_least(self, floor: int) -> bool:
-        if self.tail is not None:
-            return True
-        return any(v >= floor for v in self.finite)
+        return self.tail is not None or self.bits >> max(floor, 0) != 0
 
     def least_value_at_least(self, floor: int) -> int | None:
-        candidates = [v for v in self.finite if v >= floor]
+        floor = max(floor, 0)
+        above = self.bits >> floor
+        least = floor + _low_bit(above) if above else None
         if self.tail is not None:
             t, d = self.tail
-            candidates.append(t if t >= floor else t + ((floor - t + d - 1) // d) * d)
-        return min(candidates) if candidates else None
+            first = t if t >= floor else t + ((floor - t + d - 1) // d) * d
+            if least is None or first < least:
+                least = first
+        return least
 
 
 @dataclass(frozen=True)
@@ -58,7 +94,7 @@ class ReachSet:
     per_state: dict[str, StateReach]
 
     def at(self, state: str) -> StateReach:
-        return self.per_state.get(state, StateReach(frozenset(), None))
+        return self.per_state.get(state, StateReach(0, None))
 
 
 def cutoff(machine: Mbca) -> int:
@@ -66,73 +102,189 @@ def cutoff(machine: Mbca) -> int:
     return (k + 1) * (machine.moves.dplus + 1) * (k + 2)
 
 
+def _low_bit(bits: int) -> int:
+    return (bits & -bits).bit_length() - 1
+
+
+def _values(bits: int) -> list[int]:
+    """The set bits' positions, ascending."""
+    return [c for c, digit in enumerate(bin(bits)[:1:-1]) if digit == "1"]
+
+
+Cycle = tuple[int, int, int]  # (gain, need, peak) of a simple cycle read from one state
+
+CYCLE_STEPS = 20_000
+
+
+def _cycles(moves: Moves) -> tuple[tuple[Cycle, ...], ...]:
+    """Each state's simple I-level cycles with a nonzero gain, as (gain, need, peak).
+
+    Cycles are found once each, from their least state, by a depth-first
+    search over the distinct (target, delta) I-level edges, and read from
+    every state on them.  The search stops after ``CYCLE_STEPS`` edge
+    expansions; a cycle left out is only not accelerated.
+    """
+    n = len(moves.pos)
+    edges = [sorted({(t, d) for _, t, d in moves.pos[q]}) for q in range(n)]
+    found: list[set[Cycle]] = [set() for _ in range(n)]
+    budget = CYCLE_STEPS
+
+    def record(states: list[int], deltas: list[int]) -> None:
+        k = len(deltas)
+        for i in range(k):
+            total, low, peak = 0, 0, 0
+            for j in range(k):
+                low = min(low, total)  # the counter before each step must be >= 1
+                total += deltas[(i + j) % k]
+                peak = max(peak, total)
+            if total:
+                found[states[i]].add((total, 1 - low, peak))
+
+    for root in range(n):
+        states, deltas, on_path = [root], [], {root}
+        stack = [iter(edges[root])]
+        while stack and budget > 0:
+            step = next(stack[-1], None)
+            if step is None:
+                stack.pop()
+                on_path.discard(states.pop())
+                if deltas:
+                    deltas.pop()
+                continue
+            budget -= 1
+            t, d = step
+            if t == root:
+                record(states, deltas + [d])
+            elif t > root and t not in on_path:
+                states.append(t)
+                deltas.append(d)
+                on_path.add(t)
+                stack.append(iter(edges[t]))
+    return tuple(tuple(sorted(cs)) for cs in found)
+
+
+def _machine_cycles(machine: Mbca) -> tuple[tuple[Cycle, ...], ...]:
+    return memo(machine, "cycles", lambda: _cycles(machine.moves))
+
+
+def _reach_bits(
+    moves: Moves, cycles: tuple[tuple[Cycle, ...], ...], start: tuple[int, int], cap: int
+) -> list[int]:
+    """Per-state bitsets of the configurations reachable from ``start``, counters <= cap."""
+    zero, pos = moves.zero, moves.pos
+    mask = (1 << (cap + 1)) - 1
+    q0, c0 = start
+    bits = [0] * len(pos)
+    pending = [0] * len(pos)
+    bits[q0] = pending[q0] = 1 << c0
+    work = [q0]
+    while work:
+        q = work.pop()
+        new, pending[q] = pending[q], 0
+        for g, need, peak in cycles[q]:
+            top = cap - peak
+            window = (1 << (top + 1)) - (1 << need) if top >= need else 0
+            starts = new & window
+            if not starts:
+                continue
+            shift, width = abs(g), top - need
+            while shift <= width:  # after round j: every start up to 2^j - 1 trips on
+                starts |= (starts << shift if g > 0 else starts >> shift) & window
+                shift <<= 1
+            arrivals = (starts << g if g > 0 else starts >> -g) & ~bits[q]
+            bits[q] |= arrivals
+            new |= arrivals
+        moved = []
+        if new & 1:
+            moved += [(t, 1 << d) for _, t, d in zero[q] if d <= cap]
+        up = new & ~1
+        if up:
+            moved += [(t, (up >> 1 if d < 0 else up << d) & mask) for _, t, d in pos[q]]
+        for t, reached in moved:
+            fresh = reached & ~bits[t]
+            if fresh:
+                bits[t] |= fresh
+                if not pending[t]:
+                    work.append(t)
+                pending[t] |= fresh
+    return bits
+
+
 def _pump_states(machine: Mbca) -> tuple[int, ...]:
     """States, in state order, that regain a high counter with a net gain."""
     if machine.moves.dplus == 0:
         return ()
     probe = cutoff(machine)
+    cycles = _machine_cycles(machine)
     return tuple(
         q
         for q in range(len(machine.states))
-        if any(s == q and c > probe for s, c in _bfs(machine.moves, (q, probe), 2 * probe))
+        if _reach_bits(machine.moves, cycles, (q, probe), 2 * probe)[q] >> (probe + 1)
     )
 
 
-def _bfs(moves: Moves, start: tuple[int, int], cap: int):
-    """Exact forward exploration with parent pointers, counters <= cap."""
-    parents: dict[tuple[int, int], tuple | None] = {start: None}
-    frontier = [start]
-    zero, pos = moves.zero, moves.pos
-    while frontier:
-        nxt: list[tuple[int, int]] = []
-        for cfg in frontier:
-            state, counter = cfg
-            for letter, target, delta in (zero if counter == 0 else pos)[state]:
-                ncounter = counter + delta
-                succ = (target, ncounter)
-                if ncounter <= cap and succ not in parents:
-                    parents[succ] = (cfg, letter)
+def _bfs(moves: Moves, start: tuple[int, int], cap: int, targets) -> list[list[str]]:
+    """Letters of the breadth-first-search path to each target, counters <= cap.
+
+    A configuration (state, counter) is keyed as counter * |K| + state.  A
+    parent is fixed when its configuration is first discovered, so the search
+    stops after the layer in which every target is discovered.
+    """
+    n = len(moves.pos)
+    # each edge as (letter, key offset): the move from key lands at key + offset
+    zero = [[(a, d * n + t - q) for a, t, d in edges] for q, edges in enumerate(moves.zero)]
+    pos = [[(a, d * n + t - q) for a, t, d in edges] for q, edges in enumerate(moves.pos)]
+    wanted = [c * n + q for q, c in targets]
+    limit = (cap + 1) * n
+    root = start[1] * n + start[0]
+    parents: dict[int, tuple[int, str] | None] = {root: None}
+    frontier = [root]
+    while frontier and not all(key in parents for key in wanted):
+        nxt: list[int] = []
+        for key in frontier:
+            for letter, offset in (pos[key % n] if key >= n else zero[key]):
+                succ = key + offset
+                if succ < limit and succ not in parents:
+                    parents[succ] = (key, letter)
                     nxt.append(succ)
         frontier = nxt
-    return parents
-
-
-def _path_letters(parents, target: tuple[int, int]) -> list[str]:
-    letters: list[str] = []
-    cfg = target
-    while parents[cfg] is not None:
-        cfg, letter = parents[cfg]
-        letters.append(letter)
-    letters.reverse()
-    return letters
+    paths = []
+    for key in wanted:
+        letters: list[str] = []
+        while parents[key] is not None:
+            key, letter = parents[key]
+            letters.append(letter)
+        letters.reverse()
+        paths.append(letters)
+    return paths
 
 
 class ReachAnalysis:
     """reach() result plus the pump parameters that rebuild witness paths.
 
-    Only answers are kept: the counter sets, each pump's (hi, gains, sat) and
-    each tail's (pump, arrival counter).  ``path_to`` re-runs the same
-    deterministic searches that produced them.
+    Only answers are kept: the counter bitsets, each pump's (hi, gains, sat)
+    and each tail's (pump, arrival counter).  ``path_to`` searches for the
+    configurations those answers name.
     """
 
     def __init__(self, machine: Mbca, start: Configuration):
         self.machine = machine
         moves = machine.moves
+        cycles = _machine_cycles(machine)
         self._start = (moves.index[start.state], start.counter)
         self._b = b = cutoff(machine)
         self._cap = start.counter + b
-        found: dict[int, set[int]] = {}
-        for state, counter in _bfs(moves, self._start, self._cap):
-            found.setdefault(state, set()).add(counter)
+        found = _reach_bits(moves, cycles, self._start, self._cap)
         self._pumps: dict[int, tuple[int, list[int], int]] = {}
         tails: dict[int, tuple[tuple[int, int], int, int | None]] = {}
         for p in memo(machine, "pumps", lambda: _pump_states(machine)):
             # any iterable positive cycle is valid from some explored
             # configuration, hence (shift monotonicity) from the highest one
-            if p not in found:
+            if not found[p]:
                 continue
-            hi = max(found[p])
-            gains = sorted(c - hi for s, c in _bfs(moves, (p, hi), hi + b) if s == p and c > hi)
+            hi = found[p].bit_length() - 1
+            above = _reach_bits(moves, cycles, (p, hi), hi + b)[p] >> (hi + 1)
+            gains = [c + 1 for c in _values(above)]
             if not gains:
                 continue
             g = gains[0]
@@ -145,13 +297,16 @@ class ReachAnalysis:
             current = tails.get(p)
             if current is None or (g, hi + slack) < (current[0][1], current[0][0]):
                 tails[p] = ((hi + slack, g), p, None)
-            for state, counter in _bfs(moves, (p, sat), sat + b):
+            for state, arrived in enumerate(_reach_bits(moves, cycles, (p, sat), sat + b)):
+                if not arrived:
+                    continue
+                counter = _low_bit(arrived)
                 current = tails.get(state)
                 if current is None or (g, counter) < (current[0][1], current[0][0]):
                     tails[state] = ((counter, g), p, counter)
         self._tails = {}
         for q, ((base, g), p, arrival) in tails.items():
-            top = max(found.get(q, {base}))
+            top = found[q].bit_length() - 1 if found[q] else base
             t = base
             if t <= top:
                 t += ((top - t) // g + 1) * g
@@ -160,9 +315,10 @@ class ReachAnalysis:
         self.reach_set = ReachSet(
             {
                 machine.states[q]: StateReach(
-                    frozenset(values), self._tails[q][0] if q in self._tails else None
+                    values, self._tails[q][0] if q in self._tails else None
                 )
-                for q, values in found.items()
+                for q, values in enumerate(found)
+                if values
             }
         )
 
@@ -170,25 +326,25 @@ class ReachAnalysis:
         """Letters of a concrete path from the start to the target configuration."""
         moves, b = self.machine.moves, self._b
         state_reach = self.reach_set.at(target.state)
-        if target.counter in state_reach.finite:
-            key = (moves.index[target.state], target.counter)
-            return _path_letters(_bfs(moves, self._start, self._cap), key)
+        key = (moves.index[target.state], target.counter)
+        if target.counter >= 0 and state_reach.bits >> target.counter & 1:
+            return _bfs(moves, self._start, self._cap, [key])[0]
         if not state_reach.contains(target.counter):
             raise UnreachableTarget(f"{target} is not a known-reachable configuration")
-        q = moves.index[target.state]
+        q = key[0]
         _, p, arrival = self._tails[q]
         hi, gains, sat = self._pumps[p]
         if arrival is None:  # tail at the pump state itself
             need = target.counter - hi
         else:
             need = target.counter - arrival + (sat - hi)
-        combo = _gain_combo(gains, need)
-        letters = _path_letters(_bfs(moves, self._start, self._cap), (p, hi))
-        cycles = _bfs(moves, (p, hi), hi + b)
-        for gain, count in sorted(combo.items()):
-            letters.extend(_path_letters(cycles, (p, hi + gain)) * count)
+        combo = sorted(_gain_combo(gains, need).items())
+        letters = _bfs(moves, self._start, self._cap, [(p, hi)])[0]
+        trips = _bfs(moves, (p, hi), hi + b, [(p, hi + gain) for gain, _ in combo])
+        for (_, count), trip in zip(combo, trips):
+            letters.extend(trip * count)
         if arrival is not None:
-            letters.extend(_path_letters(_bfs(moves, (p, sat), sat + b), (q, arrival)))
+            letters.extend(_bfs(moves, (p, sat), sat + b, [(q, arrival)])[0])
         return letters
 
 

@@ -2,8 +2,8 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from mbca import Configuration, min_counter_to, reach, reachable_unbounded, validate
-from mbca.reachability import UnreachableTarget, _gain_combo, analysis
+from mbca import Configuration, StateReach, min_counter_to, reach, reachable_unbounded, validate
+from mbca.reachability import UnreachableTarget, _cycles, _gain_combo, _reach_bits, analysis
 from conftest import bfs_reach_oracle, random_machine
 
 
@@ -37,6 +37,95 @@ def test_gain_combo_matches_the_reference_search(gains, need):
             return
         raise AssertionError(f"{need} is not a combination of {gains}")
     assert _gain_combo(gains, need) == want
+
+
+def _accelerated_sets(machine, start: Configuration, cap: int) -> dict[str, set[int]]:
+    moves = machine.moves
+    bits = _reach_bits(moves, _cycles(moves), (moves.index[start.state], start.counter), cap)
+    return {machine.states[q]: set(StateReach(b, None).finite) for q, b in enumerate(bits) if b}
+
+
+@st.composite
+def _machines_and_starts(draw):
+    """A 2-7-state machine with I-level deltas in -1..+3, a start and a cap."""
+    states = [f"q{i}" for i in range(draw(st.integers(2, 7)))]
+    transitions = []
+    for q in states:
+        for a in "abc":
+            if draw(st.booleans()):
+                target, delta = draw(st.sampled_from(states)), draw(st.integers(-1, 3))
+                transitions.append((q, a, "I", target, delta))
+                if delta >= 0 and draw(st.booleans()):
+                    transitions.append((q, a, "Z", target, delta))
+    machine = validate("diff", ["a", "b", "c"], states, states[0], transitions, [])
+    start = Configuration(draw(st.sampled_from(states)), draw(st.integers(0, 12)))
+    return machine, start, draw(st.integers(0, start.counter + 30))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_machines_and_starts())
+def test_accelerated_sets_match_the_bfs_oracle(case):
+    machine, start, cap = case
+    assert _accelerated_sets(machine, start, cap) == bfs_reach_oracle(machine, start, cap)
+
+
+def test_cycle_peak_above_its_gain_blocks_just_under_the_cap():
+    # the cycle a -> b -> a gains 2 but climbs 3 on the way: from 8 under a cap
+    # of 10 its first step would leave the cap
+    machine = validate(
+        "peak", ["u", "d"], ["a", "b"], "a",
+        [("a", "u", "Z", "b", 3), ("a", "u", "I", "b", 3), ("b", "d", "I", "a", -1)],
+        [],
+    )
+    assert _cycles(machine.moves)[0] == ((2, 1, 3),)
+    for counter, want in ((8, {"a": {8}}), (7, {"a": {7, 9}, "b": {10}})):
+        start = Configuration("a", counter)
+        assert _accelerated_sets(machine, start, 10) == want
+        assert bfs_reach_oracle(machine, start, 10) == want
+
+
+def test_cycle_down_then_up_blocks_at_zero():
+    # -1, -1, +3 gains 1 but needs a start of 3: from 1 the second step would
+    # be a Z-level move, and b has none
+    machine = validate(
+        "dip", ["d", "u"], ["a", "b", "c"], "a",
+        [("a", "d", "I", "b", -1), ("b", "d", "I", "c", -1), ("c", "u", "I", "a", 3)],
+        [],
+    )
+    assert _cycles(machine.moves)[0] == ((1, 3, 1),)
+    start = Configuration("a", 1)
+    assert _accelerated_sets(machine, start, 40) == {"a": {1}, "b": {0}}
+    assert _accelerated_sets(machine, Configuration("a", 3), 6) == bfs_reach_oracle(
+        machine, Configuration("a", 3), 6
+    )
+
+
+def test_zero_level_move_above_the_cap_is_dropped():
+    machine = validate(
+        "jump", ["u"], ["a", "b"], "a", [("a", "u", "Z", "b", 3), ("a", "u", "I", "b", 3)], []
+    )
+    assert _accelerated_sets(machine, Configuration("a", 0), 2) == {"a": {0}}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 2**40 - 1),
+    st.none() | st.tuples(st.integers(0, 60), st.integers(1, 7)),
+    st.integers(-3, 80),
+)
+def test_state_reach_answers_match_a_plain_set(bits, tail, floor):
+    values = {c for c in range(40) if bits >> c & 1}
+
+    def in_tail(v):
+        return tail is not None and v >= tail[0] and (v - tail[0]) % tail[1] == 0
+
+    sr = StateReach(bits, tail)
+    assert sr.finite == frozenset(values)
+    assert sr.max_finite() == (max(values) if values else None)
+    assert all(sr.contains(v) == (v in values or in_tail(v)) for v in range(-3, 120))
+    assert sr.has_value_at_least(floor) == (tail is not None or any(v >= floor for v in values))
+    above = [v for v in values if v >= floor] + [v for v in range(floor, 200) if in_tail(v)]
+    assert sr.least_value_at_least(floor) == min(above, default=None)
 
 
 def test_pump_machine_tail():
