@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, NamedTuple, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 
 LEVEL_ZERO = "Z"
 LEVEL_POS = "I"
@@ -70,6 +70,53 @@ class Moves(NamedTuple):
     zero: tuple[tuple[Edge, ...], ...]
     pos: tuple[tuple[Edge, ...], ...]
     dplus: int  # the largest positive delta, 0 if none
+
+
+def closure(seed: int, within, adj: dict[int, set[int]]) -> set[int]:
+    """The states of ``within`` reachable from ``seed`` by edges inside ``within``."""
+    seen = {seed}
+    frontier = [seed]
+    while frontier:
+        for w in adj.get(frontier.pop(), ()):
+            if w in within and w not in seen:
+                seen.add(w)
+                frontier.append(w)
+    return seen
+
+
+def reverse(adj: dict[int, set[int]]) -> dict[int, set[int]]:
+    radj: dict[int, set[int]] = {}
+    for v, targets in adj.items():
+        for w in targets:
+            radj.setdefault(w, set()).add(v)
+    return radj
+
+
+def sccs(n: int, adj: dict[int, set[int]]) -> Iterator[set[int]]:
+    """The SCCs of states 0..n-1, each the forward and backward closure of the
+    least state not yet placed (a path inside an SCC never leaves it)."""
+    radj = reverse(adj)
+    left = set(range(n))
+    while left:
+        seed = min(left)
+        scc = closure(seed, left, adj) & closure(seed, left, radj)
+        left -= scc
+        yield scc
+
+
+def potentials(subset: set[int] | frozenset[int], arcs: list[tuple[int, int, int]]):
+    """Bellman–Ford shortest-path potentials from a virtual source joined to
+    every state, and whether a negative cycle makes them undefined."""
+    dist = dict.fromkeys(subset, 0)
+    for _ in subset:
+        changed = False
+        for s, t, d in arcs:
+            if dist[s] + d < dist[t]:
+                dist[t] = dist[s] + d
+                changed = True
+        if not changed:
+            return dist, False
+    return dist, True
 
 
 @dataclass(frozen=True)
@@ -137,8 +184,9 @@ def memo(machine: Mbca, key, build: Callable[[], T]) -> T:
     Entries are keyed by the machine's value, not its identity, so a machine
     parsed twice, or a derived machine rebuilt by a later derivation, shares
     the work done for an equal one.  Each machine's entry maps a key to the
-    pump states, the reach analysis from each start configuration, the loop
-    descriptors, the ``Analyzer`` of each threshold map and the Wadge name.
+    cycle summaries, the reach analysis from each start configuration, the
+    loop descriptors, the ``Analyzer`` of each threshold map and the Wadge
+    name.
 
     The bound counts machines.  Naming a machine touches it plus one derived
     machine per E block of its name; naming every gallery-box spec and

@@ -10,8 +10,7 @@ under the full table; blindness makes them replayable from any anchor
 counter, so their minimal anchor counter is zero.
 
 Candidate sets F are the induced strongly connected subsets of each SCC, read
-off the machine's compiled form ``Mbca.moves``.  An SCC is the forward and
-backward closure of a state not yet placed in one.
+off the machine's compiled form ``Mbca.moves`` (SCCs by ``automaton.sccs``).
 Whether a loop exists is decided once per set (I-level) or refuted per anchor
 (Z-level) before any search.  The product search ``_search`` over (state in F)
 x (visited subset of F) x (bounded counter) runs only where a loop may exist,
@@ -67,6 +66,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .automaton import LEVEL_POS, LEVEL_ZERO, Configuration, Mbca, MbcaError, memo
+from .automaton import closure, potentials, reverse, sccs
 from .reachability import analysis
 from .semantics import UPWord
 
@@ -94,26 +94,6 @@ class LoopDescriptor:
         return "positive" if self.positive else "negative"
 
 
-def _closure(seed: int, within, adj: dict[int, set[int]]) -> set[int]:
-    """The states of ``within`` reachable from ``seed`` by edges inside ``within``."""
-    seen = {seed}
-    frontier = [seed]
-    while frontier:
-        for w in adj.get(frontier.pop(), ()):
-            if w in within and w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    return seen
-
-
-def _reverse(adj: dict[int, set[int]]) -> dict[int, set[int]]:
-    radj: dict[int, set[int]] = {}
-    for v, targets in adj.items():
-        for w in targets:
-            radj.setdefault(w, set()).add(v)
-    return radj
-
-
 def _induced_strongly_connected(subset: frozenset[int], adj: dict[int, set[int]]) -> bool:
     if not subset:
         return False
@@ -121,21 +101,13 @@ def _induced_strongly_connected(subset: frozenset[int], adj: dict[int, set[int]]
         (v,) = subset
         return v in adj.get(v, ())
     seed = next(iter(subset))
-    if _closure(seed, subset, adj) != subset:
+    if closure(seed, subset, adj) != subset:
         return False
-    return _closure(seed, subset, _reverse({v: adj.get(v, ()) for v in subset})) == subset
+    return closure(seed, subset, reverse({v: adj.get(v, ()) for v in subset})) == subset
 
 
 def _candidate_sets(n: int, adj: dict[int, set[int]]):
-    # each SCC is the forward and backward closure of a state not yet placed;
-    # a path between two states of one SCC never leaves it, so placed states
-    # can be left out of later closures
-    radj = _reverse(adj)
-    left = set(range(n))
-    while left:
-        seed = min(left)
-        scc = _closure(seed, left, adj) & _closure(seed, left, radj)
-        left -= scc
+    for scc in sccs(n, adj):
         members = sorted(scc)
         if len(members) > 16:
             raise MbcaError("candidate enumeration beyond desk scale (> 16 states in one SCC)")
@@ -233,21 +205,6 @@ def _z_level_sets(machine: Mbca):
         yield subset, edge_fn, b_z if can_drop else 0
 
 
-def _potentials(subset: frozenset[int], arcs: list[tuple[int, int, int]]):
-    """Bellman–Ford shortest-path potentials from a virtual source joined to
-    every state, and whether a negative cycle makes them undefined."""
-    dist = dict.fromkeys(subset, 0)
-    for _ in subset:
-        changed = False
-        for s, t, d in arcs:
-            if dist[s] + d < dist[t]:
-                dist[t] = dist[s] + d
-                changed = True
-        if not changed:
-            return dist, False
-    return dist, True
-
-
 def _i_level_kinds(
     subset: frozenset[int], edges: dict[int, list[tuple[str, int, int]]]
 ) -> tuple[str, ...]:
@@ -260,7 +217,7 @@ def _i_level_kinds(
     tight_cover = False
     for sign in (1, -1):  # shortest paths, then longest paths as shortest under -d
         signed = [(s, t, sign * d) for s, t, d in arcs]
-        dist, cyclic = _potentials(subset, signed)
+        dist, cyclic = potentials(subset, signed)
         if cyclic:
             cycle_signs.add(-sign)
             continue

@@ -138,7 +138,8 @@ def derive(machine: Mbca, analyzer: Analyzer | None = None) -> DerivationContext
     )
     sub_states = tuple(q for q in machine.states if counters[q] is not None)
     keep = set(sub_states)
-    assert machine.initial in keep, "the initial state always keeps both options"
+    if machine.initial not in keep:
+        raise MbcaError("internal error: derivation dropped the initial state, which keeps both options")
     transitions = tuple(
         t for t in machine.transitions if t.source in keep and t.target in keep
     )
@@ -180,7 +181,8 @@ def _name_of(machine: Mbca) -> WadgeName:
         blocks.append(NameBlock("E", inv.m, inv.n))
         ctx = derive(analyzer.machine, analyzer)
         analyzer = analyzer_for(ctx.machine, ctx.thresholds)
-        assert analyzer.invariants().m < inv.m, "derivation must shrink m"
+        if analyzer.invariants().m >= inv.m:
+            raise MbcaError(f"internal error: derivation did not shrink m = {inv.m}")
     name = WadgeName(tuple(blocks))
     check_name(name)
     return name

@@ -14,12 +14,12 @@ when (state, c) is reachable, and runs a worklist of each state's new bits to
 its fixpoint: a Z-level move fires from bit 0 and lands at its delta if that
 is within the cap, an I-level move shifts every bit above 0 by its delta,
 masked to the cap.  The main set (and its highest value per state), the pump
-states, the pump gains and the tail arrivals are all read off such bitsets.
+gains and the tail arrivals are all read off such bitsets.
 
-Before a state's new bits move on, every simple I-level cycle through it is
-accelerated.  A cycle, read from that state, has a gain g != 0, a ``need``
-(the least start counter that keeps every step at I-level, 1 minus its
-lowest proper prefix sum) and a ``peak`` (its highest prefix sum).  One trip
+Before a state's new bits move on, each summarised closed I-level walk through
+it is accelerated.  A walk, read from that state, has a gain g != 0, a
+``need`` (the least start counter that keeps every step at I-level, 1 minus
+its lowest proper prefix sum) and a ``peak`` (its highest prefix sum).  One trip
 from c is a concrete path inside [0, cap] exactly when
 need <= c <= cap - peak.  That window is an interval, so k trips from c stay
 inside the cap when the first and the last trip start inside the window, and
@@ -28,9 +28,21 @@ O(log cap) shifts; one more shift by g gives the arrivals.  Exactness: the
 acceleration adds only configurations that a concrete path inside the cap
 reaches, and the worklist still applies every single move until nothing is
 new, so it adds every configuration such a path reaches.  The result is the
-breadth-first search's set, whichever cycles were accelerated.  The cycles
-are enumerated once per machine under a step budget, which therefore
-affects speed only, never results.
+breadth-first search's set, whichever closed walks were accelerated.
+
+Summaries.  ``_cycles`` keeps, per state q, the first closed walk of each gain
+sign met by a breadth-first search from (q, 0) over (state, prefix sum) inside
+q's I-level SCC S, every prefix sum within E = 4|S|(d+1) of 0, d the largest
+positive delta.  The box loses no sign.  Say S has a simple cycle C of sign s,
+through x.  Take simple paths P: q -> x and Q: x -> q in S, w the gain of PQ,
+and L >= 1 least such that w + L*gain(C) has sign s.  Deltas lie in [-1, d],
+P and Q have fewer than |S| steps and C at most |S|, so |gain(P)| and |w|/2
+are under |S|(d+1), and (L-1)|gain(C)| <= |w|.  Inside the copies of C a
+prefix is gain(P) + j*gain(C) + a part of C; inside Q it is the final gain
+(at most |w| + |gain(C)|, and |gain(C)| if L > 1) less a suffix of Q.  Both
+stay under E in size, so P C^L Q lies in the box.  Conversely a closed walk
+of sign s is a sum of simple cycles of S, one of them of sign s.  So q has a
+summary of sign s iff its SCC has a simple cycle of sign s.
 
 Every search runs on the machine's compiled form ``Mbca.moves``, over
 (state index, counter) pairs; names appear only in the results.  An analysis
@@ -47,7 +59,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 
-from .automaton import Configuration, Mbca, MbcaError, Moves, memo
+from .automaton import Configuration, Mbca, MbcaError, Moves, memo, potentials, sccs
 
 
 class UnreachableTarget(MbcaError):
@@ -111,60 +123,43 @@ def _values(bits: int) -> list[int]:
     return [c for c, digit in enumerate(bin(bits)[:1:-1]) if digit == "1"]
 
 
-Cycle = tuple[int, int, int]  # (gain, need, peak) of a simple cycle read from one state
-
-CYCLE_STEPS = 20_000
+Cycle = tuple[int, int, int]  # (gain, need, peak) of a closed I-level walk read from one state
 
 
 def _cycles(moves: Moves) -> tuple[tuple[Cycle, ...], ...]:
-    """Each state's simple I-level cycles with a nonzero gain, as (gain, need, peak).
+    """Per state, the first closed I-level walk of each nonzero gain sign, as (gain, need, peak).
 
-    Cycles are found once each, from their least state, by a depth-first
-    search over the distinct (target, delta) I-level edges, and read from
-    every state on them.  The search stops after ``CYCLE_STEPS`` edge
-    expansions; a cycle left out is only not accelerated.
+    Bellman–Ford on the SCC names the signs that occur, so each search stops
+    at its last needed walk, which the box of the module docstring holds.
     """
     n = len(moves.pos)
-    edges = [sorted({(t, d) for _, t, d in moves.pos[q]}) for q in range(n)]
-    found: list[set[Cycle]] = [set() for _ in range(n)]
-    budget = CYCLE_STEPS
-
-    def record(states: list[int], deltas: list[int]) -> None:
-        k = len(deltas)
-        for i in range(k):
-            total, low, peak = 0, 0, 0
-            for j in range(k):
-                low = min(low, total)  # the counter before each step must be >= 1
-                total += deltas[(i + j) % k]
-                peak = max(peak, total)
-            if total:
-                found[states[i]].add((total, 1 - low, peak))
-
-    for root in range(n):
-        states, deltas, on_path = [root], [], {root}
-        stack = [iter(edges[root])]
-        while stack and budget > 0:
-            step = next(stack[-1], None)
-            if step is None:
-                stack.pop()
-                on_path.discard(states.pop())
-                if deltas:
-                    deltas.pop()
-                continue
-            budget -= 1
-            t, d = step
-            if t == root:
-                record(states, deltas + [d])
-            elif t > root and t not in on_path:
-                states.append(t)
-                deltas.append(d)
-                on_path.add(t)
-                stack.append(iter(edges[t]))
-    return tuple(tuple(sorted(cs)) for cs in found)
-
-
-def _machine_cycles(machine: Mbca) -> tuple[tuple[Cycle, ...], ...]:
-    return memo(machine, "cycles", lambda: _cycles(machine.moves))
+    found: list[tuple[Cycle, ...]] = [()] * n
+    for scc in sccs(n, {q: {t for _, t, _ in moves.pos[q]} for q in range(n)}):
+        inner = {q: [(t, d) for _, t, d in moves.pos[q] if t in scc] for q in scc}
+        arcs = [(q, t, d) for q in scc for t, d in inner[q]]
+        # S has a cycle of sign s iff it has a negative cycle under the weights -s*d
+        signs = sum(potentials(scc, [(a, b, -s * d) for a, b, d in arcs])[1] for s in (1, -1))
+        if not signs:
+            continue
+        bound = 4 * len(scc) * (moves.dplus + 1)
+        for q in scc:
+            span = {(q, 0): (0, 0)}  # (state, prefix sum) -> least and most prefix sum on its path
+            frontier = [(q, 0)]
+            walks: dict[bool, Cycle] = {}
+            while frontier and len(walks) < signs:
+                nxt = []
+                for x, s in frontier:
+                    low, high = span[x, s]
+                    for t, d in inner[x]:
+                        p = s + d
+                        if -bound <= p <= bound and (t, p) not in span:
+                            span[t, p] = (min(low, p), max(high, p))
+                            nxt.append((t, p))
+                            if t == q:  # p != 0, since (q, 0) is the root
+                                walks.setdefault(p > 0, (p, 1 - low, max(high, p)))
+                frontier = nxt
+            found[q] = tuple(sorted(walks.values()))
+    return tuple(found)
 
 
 def _reach_bits(
@@ -210,17 +205,16 @@ def _reach_bits(
     return bits
 
 
-def _pump_states(machine: Mbca) -> tuple[int, ...]:
-    """States, in state order, that regain a high counter with a net gain."""
-    if machine.moves.dplus == 0:
-        return ()
-    probe = cutoff(machine)
-    cycles = _machine_cycles(machine)
-    return tuple(
-        q
-        for q in range(len(machine.states))
-        if _reach_bits(machine.moves, cycles, (q, probe), 2 * probe)[q] >> (probe + 1)
-    )
+def _pump_states(cycles: tuple[tuple[Cycle, ...], ...]) -> tuple[int, ...]:
+    """States, in state order, with a positive summary.
+
+    They are the states q that climb above ``cutoff`` from (q, cutoff) under
+    the cap 2 * cutoff.  Blindness mirrors each Z-level move at I-level, so a
+    climb is a closed I-level walk with positive gain, which has a positive
+    simple cycle in q's SCC S.  Conversely P C^L Q of the module docstring
+    replays from (q, cutoff), as cutoff >= (|S|+1)(|S|+2)(d+1) > 4|S|(d+1).
+    """
+    return tuple(q for q, walks in enumerate(cycles) if any(g > 0 for g, _, _ in walks))
 
 
 def _bfs(moves: Moves, start: tuple[int, int], cap: int, targets) -> list[list[str]]:
@@ -270,14 +264,14 @@ class ReachAnalysis:
     def __init__(self, machine: Mbca, start: Configuration):
         self.machine = machine
         moves = machine.moves
-        cycles = _machine_cycles(machine)
+        cycles = memo(machine, "cycles", lambda: _cycles(moves))
         self._start = (moves.index[start.state], start.counter)
         self._b = b = cutoff(machine)
         self._cap = start.counter + b
         found = _reach_bits(moves, cycles, self._start, self._cap)
         self._pumps: dict[int, tuple[int, list[int], int]] = {}
         tails: dict[int, tuple[tuple[int, int], int, int | None]] = {}
-        for p in memo(machine, "pumps", lambda: _pump_states(machine)):
+        for p in _pump_states(cycles):
             # any iterable positive cycle is valid from some explored
             # configuration, hence (shift monotonicity) from the highest one
             if not found[p]:
@@ -287,9 +281,7 @@ class ReachAnalysis:
             gains = [c + 1 for c in _values(above)]
             if not gains:
                 continue
-            g = gains[0]
-            for extra in gains[1:]:
-                g = gcd(g, extra)
+            g = gcd(*gains)
             slack = _semigroup_slack(gains, g)
             sat = hi + slack + (b // g + 1) * g
             self._pumps[p] = (hi, gains, sat)

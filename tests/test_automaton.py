@@ -1,4 +1,7 @@
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mbca import (
     Configuration,
@@ -9,6 +12,7 @@ from mbca import (
     step,
     validate,
 )
+from conftest import random_counter_free, random_machine
 
 
 def test_a1_is_valid(a1):
@@ -107,6 +111,16 @@ def test_text_format_round_trip(a1, g_omega, a_pump):
     for machine in (a1, g_omega, a_pump):
         again = parse_machine(emit_machine(machine))
         assert again == machine
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.booleans())
+def test_text_format_round_trips_random_machines(seed, n_states, counter_free):
+    rng = random.Random(seed)
+    machine = random_counter_free(rng, n_states) if counter_free else random_machine(rng, n_states)
+    text = emit_machine(machine)
+    assert parse_machine(text) == machine
+    assert emit_machine(parse_machine(text)) == text
 
 
 def test_reference_a1_text_parses_to_fixture(a1):

@@ -4,7 +4,8 @@
 every buildable gallery-box spec and every ``machines/*.mbca`` file, so a
 refactor that changes one byte of any report fails here.  ``DEEP_DIGESTS``
 does the same for m >= 3 canonical machines, whose loop enumeration covers
-larger candidate sets.  The section subcommands (``loops``, ``chains``,
+larger candidate sets, and for the m = 4 E specs, whose pump states sit deep
+in the chain gadgets.  The section subcommands (``loops``, ``chains``,
 ``superchains``, ``invariants``) must print exactly their sections of that
 document.  ``WITNESS_DIGEST`` pins the letters of every admissible loop's
 witness word on the same machines, and ``PATH_DIGEST`` the ``path_to``
@@ -86,6 +87,8 @@ DEEP_DIGESTS = {
     "D_3^w*1+1": "f6a9efe4eb1f350735e725d89fc97940f5c481b57f948a38ef57fec972fda0a4",
     "C_3^w*2": "7ecb2711d7b97b6edac14049122d823f251413d1d60e5fb54dafcb62abf0c1aa",
     "C_4^w*1": "1f867c2e7c0da4beca570f07d75601715f1f7207d80bd8f4f1b8d8a9a9b15984",
+    "E_4^w*1+2 E": "a3ca805ee666f40f855768313a7d2d1f1b3482a370abc26fce1ef2f66fdc9f07",
+    "E_4^w*2 E": "dc1ac21ce30bdca996a9fc465438cca639930123f2362c610fa592c8c485564c",
 }
 
 WITNESS_DIGEST = "4d2c717ee9107fdd044aea14581624541eb05c657753620f5f0b49e858a3cde9"

@@ -1,9 +1,12 @@
+import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mbca import (
     MalformedName,
+    MbcaError,
     NotDerivable,
     OrdinalW2,
     WadgeName,
@@ -14,8 +17,10 @@ from mbca import (
     validate,
     wadge_name,
 )
-from mbca.naming import NameBlock, check_name
-from conftest import duplicate_state, random_machine
+from mbca import naming
+from mbca.gallery import canonical
+from mbca.naming import DerivationContext, NameBlock, check_name
+from conftest import duplicate_state, random_counter_free, random_machine
 
 
 def test_name_grammar_round_trip():
@@ -59,6 +64,27 @@ def test_derive_two_site_branch():
 def test_derive_prime_raises(g_omega):
     with pytest.raises(NotDerivable):
         derive(g_omega)
+
+
+def test_derivation_dropping_the_initial_state_is_an_internal_error(monkeypatch):
+    monkeypatch.setattr(naming, "min_counter_to", lambda machine, *_, **__: dict.fromkeys(machine.states))
+    with pytest.raises(MbcaError, match="initial state"):
+        derive(canonical("E_1^1"))
+
+
+def test_derivation_keeping_m_is_an_internal_error(monkeypatch):
+    # the check is all that ends the naming loop, so it must survive python -O
+    calls = []
+
+    def same_machine(machine, _):
+        calls.append(machine)
+        if len(calls) > 3:
+            raise RuntimeError("the naming loop went on")
+        return DerivationContext(machine.states, {}, machine)
+
+    monkeypatch.setattr(naming, "derive", same_machine)
+    with pytest.raises(MbcaError, match="did not shrink"):
+        naming._name_of(canonical("E_1^1"))
 
 
 def test_derive_threshold_three():
@@ -238,3 +264,37 @@ def test_duplication_keeps_nonprime_names():
     for target in ["start", "P.g1.r1", "T.g1.r1"]:
         doubled = duplicate_state(machine, target, rng)
         assert wadge_name(doubled).render() == "E_2^1 D_1^1", target
+
+
+def _renamed_and_reordered(machine, rng):
+    """The machine with fresh state names, a new state order and a new edge order.
+
+    The new orders change which closed walks get summarised.
+    """
+    n = len(machine.states)
+    rename = dict(zip(machine.states, (f"r{i}" for i in rng.sample(range(n), n))))
+    renamed = validate(
+        "renamed",
+        machine.alphabet,
+        rng.sample(list(rename.values()), n),
+        rename[machine.initial],
+        [t._replace(source=rename[t.source], target=rename[t.target]) for t in machine.transitions],
+        [[rename[q] for q in f] for f in machine.accept_family],
+    )
+    shuffled = rng.sample(renamed.transitions, len(renamed.transitions))
+    return dataclasses.replace(renamed, transitions=tuple(shuffled))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.booleans())
+def test_name_invariant_under_renaming_and_reordering(seed, n_states, counter_free):
+    rng = random.Random(seed)
+    machine = random_counter_free(rng, n_states) if counter_free else random_machine(rng, n_states)
+    assert wadge_name(_renamed_and_reordered(machine, rng)) == wadge_name(machine)
+
+
+@pytest.mark.parametrize("spec", ["E_2^w*2", "D_2^w*1+1", "E_3^2 E_2^2 C_1^1"])
+def test_derived_names_invariant_under_renaming_and_reordering(spec):
+    machine = canonical(spec)
+    for seed in range(3):
+        assert wadge_name(_renamed_and_reordered(machine, random.Random(seed))) == wadge_name(machine)

@@ -3,7 +3,9 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from mbca import Configuration, StateReach, min_counter_to, reach, reachable_unbounded, validate
-from mbca.reachability import UnreachableTarget, _cycles, _gain_combo, _reach_bits, analysis
+from mbca.reachability import (
+    UnreachableTarget, _cycles, _gain_combo, _pump_states, _reach_bits, analysis, cutoff,
+)
 from conftest import bfs_reach_oracle, random_machine
 
 
@@ -98,6 +100,82 @@ def test_cycle_down_then_up_blocks_at_zero():
     assert _accelerated_sets(machine, Configuration("a", 3), 6) == bfs_reach_oracle(
         machine, Configuration("a", 3), 6
     )
+
+
+@st.composite
+def _machines(draw):
+    """A 2-9-state machine with I-level deltas in -1..+3."""
+    states = [f"q{i}" for i in range(draw(st.integers(2, 9)))]
+    transitions = []
+    for q in states:
+        for a in "abc":
+            if draw(st.booleans()):
+                target, delta = draw(st.sampled_from(states)), draw(st.integers(-1, 3))
+                transitions.append((q, a, "I", target, delta))
+                if delta >= 0 and draw(st.booleans()):
+                    transitions.append((q, a, "Z", target, delta))
+    return validate("sums", ["a", "b", "c"], states, states[0], transitions, [])
+
+
+def _probed_pump_states(machine):
+    """The probe definition: states that climb back above the cutoff from (q, cutoff)."""
+    moves = machine.moves
+    if moves.dplus == 0:
+        return ()
+    probe = cutoff(machine)
+    cycles = _cycles(moves)
+    return tuple(
+        q
+        for q in range(len(machine.states))
+        if _reach_bits(moves, cycles, (q, probe), 2 * probe)[q] >> (probe + 1)
+    )
+
+
+def _simple_cycle_signs(machine) -> list[set[int]]:
+    """Per state, the gain signs of the simple I-level cycles of its SCC, by enumeration."""
+    n, pos = len(machine.states), machine.moves.pos
+    reach = [{q} for q in range(n)]
+    for _ in range(n):
+        reach = [set().union(*(reach[t] for _, t, _ in pos[q]), {q}) for q in range(n)]
+    signs: list[set[int]] = [set() for _ in range(n)]
+
+    def extend(root, path, gain):
+        for _, t, d in pos[path[-1]]:
+            if t == root and gain + d:
+                for q in range(n):
+                    if root in reach[q] and q in reach[root]:
+                        signs[q].add(1 if gain + d > 0 else -1)
+            elif t > root and t not in path:
+                extend(root, path + [t], gain + d)
+
+    for root in range(n):
+        extend(root, [root], 0)
+    return signs
+
+
+@settings(max_examples=300, deadline=None)
+@given(_machines())
+def test_pump_states_match_the_probe(machine):
+    assert _pump_states(_cycles(machine.moves)) == _probed_pump_states(machine)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_machines())
+def test_summary_signs_are_the_scc_cycle_signs(machine):
+    summaries = _cycles(machine.moves)
+    for q, signs in enumerate(_simple_cycle_signs(machine)):
+        assert {1 if g > 0 else -1 for g, _, _ in summaries[q]} == signs, q
+        assert len(summaries[q]) == len(signs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_machines())
+def test_summaries_replay_inside_their_window(machine):
+    for q, summaries in enumerate(_cycles(machine.moves)):
+        state = machine.states[q]
+        for gain, need, peak in summaries:
+            reached = bfs_reach_oracle(machine, Configuration(state, need), need + peak)
+            assert need + gain in reached[state], (state, gain, need, peak)
 
 
 def test_zero_level_move_above_the_cap_is_dropped():
