@@ -100,7 +100,7 @@ def play(
     """Run the alternation until both emission streams close into UP words."""
     if s1.role != 1 or s2.role != 2:
         raise MbcaError("play needs a role-1 and a role-2 strategy, in that order")
-    skip_budget = 2 ** min(len(s1.states()) * len(s2.states()), 20)
+    skip_budget = None  # read only after a skip, so counted at the first one
     state1, state2 = s1.initial, s2.initial
     a_letters: list[str] = []
     b_letters: list[str] = []
@@ -128,6 +128,8 @@ def play(
         b_token, state2, _ = s2.emit(state2, a_letter)
         if b_token == SKIP:
             consecutive_skips += 1
+            if skip_budget is None:
+                skip_budget = 2 ** min(len(s1.states()) * len(s2.states()), 20)
             if consecutive_skips > skip_budget:
                 raise SkipBudgetExhausted(
                     f"player 2 skipped {consecutive_skips} consecutive turns"
@@ -168,15 +170,15 @@ class TournamentReport:
 def default_suite(a_alphabet, b_alphabet, limit: int = 512) -> list[Strategy]:
     """Every one-state player-1 table over the two alphabets, capped."""
     tokens = [START, SKIP] + sorted(b_alphabet)
-    suites: list[Strategy] = []
-    total = len(a_alphabet) ** len(tokens)
+    letters = sorted(a_alphabet)
+    total = len(letters) ** len(tokens)
 
     def build(index: int) -> Strategy:
         emissions = {}
         rest = index
         for token in tokens:
-            emissions[token] = sorted(a_alphabet)[rest % len(a_alphabet)]
-            rest //= len(a_alphabet)
+            emissions[token] = letters[rest % len(letters)]
+            rest //= len(letters)
         return table_player1(emissions, name=f"p1#{index}")
 
     if total <= limit:

@@ -142,12 +142,18 @@ class Mbca:
         return self.moves.dplus
 
     def entry(self, state: str, letter: str, level: str) -> tuple[str, int] | None:
-        return self._table.get((state, letter, level))
+        zero, pos = self.step_table
+        return (zero if level == LEVEL_ZERO else pos).get((state, letter))
 
     @cached_property
-    def _table(self) -> dict[tuple[str, str, str], tuple[str, int]]:
-        # built once per instance, outside the compared and hashed fields
-        return {(t.source, t.letter, t.level): (t.target, t.delta) for t in self.transitions}
+    def step_table(self) -> tuple[dict[tuple[str, str], tuple[str, int]], ...]:
+        """(zero, pos): (state, letter) -> (target, delta), one dict per level.
+
+        Built once per instance, outside the compared and hashed fields."""
+        zero, pos = {}, {}
+        for t in self.transitions:
+            (zero if t.level == LEVEL_ZERO else pos)[t.source, t.letter] = (t.target, t.delta)
+        return zero, pos
 
     @cached_property
     def moves(self) -> Moves:

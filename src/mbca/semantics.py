@@ -1,30 +1,26 @@
 """Runs on ultimately periodic words, membership, and loop witnesses.
 
 An ultimately periodic word u . v^omega is the decidable carrier for every
-membership question here.  The simulator halts at the first of: blocking, an
-exact repetition of (state, counter, phase), or two period boundaries showing
-the same state with a non-decreasing counter.  The last rule is sound only
-because blind counters are shift-monotone: a segment that was valid from a
-lower counter replays verbatim from any higher one, so the future of the run
-is the same state sequence shifted upward.
+membership question here.  The simulator halts when a letter blocks, or at
+the first period boundary that repeats an earlier boundary's state with an
+equal ("periodic") or higher ("ramp") counter; repeats are only looked for at
+boundaries.  A ramp is sound only because blind counters are shift-monotone: a
+segment that was valid from a lower counter replays verbatim from any higher
+one, so the future of the run is the same state sequence shifted upward.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
-from .automaton import Configuration, Mbca, MbcaError, step
+from .automaton import Configuration, Mbca, MbcaError
 
 
 class UPWord(NamedTuple):
     prefix: tuple[str, ...]
     period: tuple[str, ...]
-
-    def letter_at(self, i: int) -> str:
-        if i < len(self.prefix):
-            return self.prefix[i]
-        return self.period[(i - len(self.prefix)) % len(self.period)]
 
     def render(self) -> str:
         return " ".join(self.prefix) + " ; " + " ".join(self.period)
@@ -58,70 +54,83 @@ class Outcome:
 class RunTrace:
     """A finite prefix of the unique run, long enough to determine its tail.
 
-    ``configs[i]`` is the configuration before reading letter ``i``; for
-    non-blocked outcomes the stored prefix extends two segments past the
-    detected repeat so loop witnesses can be re-anchored inside it.
+    ``configs[i]``, built from ``states[i]`` and ``counters[i]`` when read, is
+    the configuration before reading letter ``i``; for non-blocked outcomes
+    the stored prefix extends two segments past the detected repeat so loop
+    witnesses can be re-anchored inside it.
     """
 
     word: UPWord
-    configs: tuple[Configuration, ...]
+    states: tuple[str, ...]
+    counters: tuple[int, ...]
     outcome: Outcome
     inf_set: frozenset[str] | None
 
+    @cached_property
+    def configs(self) -> tuple[Configuration, ...]:
+        return tuple(map(Configuration, self.states, self.counters))
+
+
+def _feed(table, letters, states: list[str], counters: list[int]) -> tuple[str, int] | None:
+    """Read ``letters`` on from the last configuration, appending each one
+    reached; ``None`` when a letter blocks."""
+    zero, pos = table
+    state, counter = states[-1], counters[-1]
+    for letter in letters:
+        move = (pos if counter else zero).get((state, letter))
+        if move is None:
+            return None
+        state, delta = move
+        counter += delta
+        states.append(state)
+        counters.append(counter)
+    return state, counter
+
 
 def run(machine: Mbca, word: UPWord) -> RunTrace:
-    """Simulate until the ultimately periodic tail of the run is decided."""
-    u_len, v_len = len(word.prefix), len(word.period)
-    configs: list[Configuration] = [machine.initial_configuration()]
-    boundary_seen: dict[str, list[tuple[int, int]]] = {}
+    """Simulate until the ultimately periodic tail of the run is decided.
 
-    def simulate_to(pos_target: int) -> Outcome | None:
-        while len(configs) - 1 < pos_target:
-            pos = len(configs) - 1
-            nxt = step(machine, configs[-1], word.letter_at(pos))
-            if nxt is None:
-                return Outcome("blocked", position=pos)
-            configs.append(nxt)
-        return None
+    ``marks`` keeps each state's last boundary that did not halt the run.
+    Its counter is below every earlier one of the state, so "some earlier
+    counter <= c" is "the mark's counter <= c".  If the run does not block,
+    it is the state's only such boundary: a state back at a boundary with a
+    lower counter replays the segment between, shifted down, until it blocks.
 
-    blocked = simulate_to(u_len)
-    if blocked is None:
-        c_u = configs[u_len].counter
-        max_periods = len(machine.states) * (
-            c_u + len(machine.states) * machine.max_positive_delta() * v_len + 1
-        ) + 2
-        detected: Outcome | None = None
-        for k in range(max_periods):
-            pos = u_len + k * v_len
-            blocked = simulate_to(pos)
-            if blocked is not None:
-                break
-            state, counter = configs[pos]
-            for prev_pos, prev_counter in boundary_seen.get(state, ()):
-                if counter >= prev_counter:
-                    detected = Outcome(
-                        "periodic" if counter == prev_counter else "ramp",
-                        cycle_start=prev_pos,
-                        cycle_len=pos - prev_pos,
-                        counter_shift=counter - prev_counter,
-                    )
-                    break
-            if detected:
-                break
-            boundary_seen.setdefault(state, []).append((pos, counter))
-        else:
-            raise CapExceeded(f"no repetition within {max_periods} periods")
+    ``max_periods`` is never reached.  Up to any boundary before the halt,
+    the boundaries whose counter is <= every later one have distinct states
+    (else the run halts), the first is at most c_u, and each is at most
+    d+ * |v| above the one before.  So no counter before the halt exceeds
+    c_u + n * d+ * |v|; a state's marks strictly decrease and stay >= 0, so
+    after n * (c_u + n * d+ * |v| + 1) marks the next boundary halts.
+    """
+    table = machine.step_table
+    states, counters = [machine.initial], [0]
+    end = _feed(table, word.prefix, states, counters)
+    n = len(machine.states)
+    max_periods = n * (counters[-1] + n * machine.max_positive_delta() * len(word.period) + 1) + 2
+    marks: dict[str, tuple[int, int]] = {}
+    for _ in range(max_periods):
+        if end is None:
+            position = len(states) - 1
+            return RunTrace(word, tuple(states), tuple(counters), Outcome("blocked", position), None)
+        state, counter = end
+        mark = marks.get(state)
+        if mark is not None and mark[1] <= counter:
+            break
+        marks[state] = (len(states) - 1, counter)
+        end = _feed(table, word.period, states, counters)
+    else:
+        raise CapExceeded(f"no repetition within {max_periods} periods")
 
-    if blocked is not None:
-        return RunTrace(word, tuple(configs), blocked, None)
-
-    assert detected is not None
+    start, low = mark
+    here = len(states) - 1
+    kind = "periodic" if counter == low else "ramp"
+    detected = Outcome(kind, cycle_start=start, cycle_len=here - start, counter_shift=counter - low)
     # Two extra segments so extract_loop_witness can re-anchor past the repeat.
-    tail = simulate_to(detected.cycle_start + 3 * detected.cycle_len)
-    assert tail is None, "segment replay cannot block (shift monotonicity)"
-    seg = range(detected.cycle_start, detected.cycle_start + detected.cycle_len)
-    inf_set = frozenset(configs[i].state for i in seg)
-    return RunTrace(word, tuple(configs), detected, inf_set)
+    for _ in range(2 * (here - start) // len(word.period)):
+        if _feed(table, word.period, states, counters) is None:
+            raise MbcaError("internal error: segment replay blocked (shift monotonicity)")
+    return RunTrace(word, tuple(states), tuple(counters), detected, frozenset(states[start:here]))
 
 
 def member(machine: Mbca, word: UPWord) -> bool:

@@ -1,5 +1,11 @@
+import random
+
+import pytest
+
 from mbca import member, parse_word
 from mbca.arena import (
+    SKIP,
+    START,
     SkipBudgetExhausted,
     Strategy,
     constant_word,
@@ -137,3 +143,38 @@ def test_strategy_format_round_trip():
         "blind", 2, "s", {("s", "a"): ("b", "s", 1), ("s", "b"): ("skip", "s", -1)}
     )
     assert parse_strategy(emit_strategy(counterful)) == counterful
+
+
+def _reference_suite(a_alphabet, b_alphabet, limit=512):
+    """``default_suite`` as first written, sorting the left alphabet once per token."""
+    tokens = [START, SKIP] + sorted(b_alphabet)
+    total = len(a_alphabet) ** len(tokens)
+
+    def build(index):
+        emissions = {}
+        rest = index
+        for token in tokens:
+            emissions[token] = sorted(a_alphabet)[rest % len(a_alphabet)]
+            rest //= len(a_alphabet)
+        return table_player1(emissions, name=f"p1#{index}")
+
+    if total <= limit:
+        return [build(i) for i in range(total)]
+    step = total // limit
+    return [build(i * step) for i in range(limit)]
+
+
+@pytest.mark.parametrize("n_letters", range(1, 12))
+def test_default_suite_matches_the_reference(n_letters):
+    rng = random.Random(n_letters)
+    a_alphabet = [f"x{i}" for i in range(n_letters)]
+    rng.shuffle(a_alphabet)
+    for b_size in (1, 2, 3):
+        b_alphabet = rng.sample(["b", "a", "c"], b_size)
+        total = n_letters ** (b_size + 2)
+        # both sides of the cap: the whole table set, and an even sample of it
+        near = {total - 1, total, total + 1} if total <= 2000 else set()
+        for limit in {512, 7} | near - {0}:
+            got = default_suite(a_alphabet, b_alphabet, limit)
+            want = _reference_suite(a_alphabet, b_alphabet, limit)
+            assert [(s.name, s.rules) for s in got] == [(s.name, s.rules) for s in want]
