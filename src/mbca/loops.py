@@ -11,10 +11,11 @@ counter, so their minimal anchor counter is zero.
 
 Candidate sets F are the induced strongly connected subsets of each SCC, read
 off the machine's compiled form ``Mbca.moves`` (SCCs by ``automaton.sccs``).
-Whether a loop exists is decided once per set (I-level) or refuted per anchor
-(Z-level) before any search.  The product search ``_search`` over (state in F)
-x (visited subset of F) x (bounded counter) runs only where a loop may exist,
-to find the minimal dip and the witness letters.
+Whether an I-level loop exists is decided once per set, and one counter
+abstraction then refutes each Z-level anchor and each I-level (anchor, dip)
+before any search.  The product search ``_search`` over (state in F) x
+(visited subset of F) x (bounded counter) runs only where a loop may exist, to
+find the minimal dip and the witness letters.
 
 I-level existence is cycle arithmetic on F's I-edges, the one-dimensional case
 of Kosaraju & Sullivan (STOC 1988).  F is strongly connected, so a closed walk
@@ -31,14 +32,24 @@ W meets it.  So the answer is the same for every anchor of F.
   exactly the tight ones under the longest-path (or shortest-path)
   potentials.  Conversely, a closed walk on tight edges has weight 0.
 
-Z-level existence is refuted by a counter abstraction.  Values 0..K are exact
-and one class stands for every value above K, with K = d+ + 1, where d+ is the
-machine's largest positive delta.  Moves follow the concrete move function,
-which depends only on whether the counter is zero; a -1 step from the class
-lands on K or stays in it.  I-level deltas are >= -1, so every concrete move
-maps to an abstract move, for every K >= 0.  A concrete closed walk at
-(anchor, 0) covering F therefore maps to an abstract one.  When the
-abstraction has none, the search is skipped; otherwise ``_search`` decides.
+Both levels refute walks by one counter abstraction, ``_may_close``.  Values
+floor..K are exact and one class T stands for every value above K, with
+K = d+ + 1, where d+ is the machine's largest positive delta.  Moves follow the
+concrete move function, which depends only on whether the counter is zero; a
+step landing above K lands on T, one landing below floor is dropped, and a -1
+step from T lands on K or stays.  I-level deltas are >= -1 (``automaton.check``
+enforces it), so a step from a value above K stays at K or above, and every
+concrete step that keeps the counter >= floor maps to an abstract one, for every
+K >= 0.  The floor is 0 at the Z-level, where counters are absolute, and -dip
+at the I-level, where a search at that dip keeps relative counters >= -dip.
+A concrete covering walk from (anchor, 0) to its end, (anchor, 0) for ``equal``
+or (anchor, > 0) for ``plus``, therefore maps to an abstract walk whose nodes
+are all reachable from (anchor, 0) and all reach an abstract end.  No visited
+mask is needed: if the states of that forward and backward set miss a state of
+F, no concrete walk covers F, and the search is skipped; otherwise ``_search``
+decides.  Refusal is monotone in the dip, since a lower floor only removes
+abstract walks, so refused dips are exactly those below the first unrefused
+one, which is at most the minimal dip.
 
 Search bounds.  Let N = |F| * 2^|F| count the (state, visited subset) pairs
 and D = d+; deltas are >= -1.  ``rel_cap`` is (N + 1)(D + 1).  A shortest
@@ -56,8 +67,10 @@ the machine's states.  Cutting repeated up- and down-crossings of a counter
 level shortens a witness only to height N^2 * D, so b_z is not proved either.
 For those two cases the tests check the bounds instead: the lasso oracle must
 realize no Inf set that the loops miss, and the arithmetic must agree with the
-bounded search.  The I-level dip scan also raises ``MbcaError`` if the
-arithmetic promises a loop that no dip up to rel_cap gives.
+bounded search.  The I-level dip scan runs ``_search`` at every dip from the
+first unrefused one, so its dips and witness letters are those of a scan that
+refutes nothing.  It raises ``MbcaError`` if the arithmetic promises a loop
+that no dip up to rel_cap gives.
 """
 
 from __future__ import annotations
@@ -230,28 +243,33 @@ def _i_level_kinds(
     return tuple(kind for kind, ok in (("equal", equal), ("plus", 1 in cycle_signs)) if ok)
 
 
-def _z_level_may_close(edge_fn, anchor: int, subset: frozenset[int], top: int) -> bool:
-    """Whether the counter abstraction has a closed walk at (anchor, 0) covering F.
+def _may_close(
+    edge_fn, anchor: int, subset: frozenset[int], floor: int, top: int, kind: str
+) -> bool:
+    """Whether the counter abstraction has a walk from (anchor, 0) of the given
+    kind whose states cover F.
 
-    Counters 0..top-1 are exact and ``top`` stands for every larger value; a
-    -1 step from ``top`` may land on top-1 or stay.  An over-approximation of
-    the moves of ``edge_fn``, so False means no concrete walk exists.
+    Counters floor..top-1 are exact and ``top`` stands for every larger value;
+    a -1 step from ``top`` may land on top-1 or stay, and arrivals below
+    ``floor`` are dropped.  The walk ends, after at least one step, at
+    (anchor, 0) for ``equal`` and at (anchor, > 0) for ``plus``.  The module
+    docstring argues that False means no concrete walk exists.
     """
 
     def successors(node):
         s, c = node
         for _, t, d in edge_fn(s, c):
             if c < top:
-                yield t, min(c + d, top)
+                if c + d >= floor:
+                    yield t, min(c + d, top)
             else:
                 if d < 0:
                     yield t, top - 1
                 yield t, top
 
-    start = (anchor, 0)
     seen: set[tuple[int, int]] = set()
     preds: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    frontier = [start]
+    frontier = [(anchor, 0)]
     while frontier:
         node = frontier.pop()
         for nxt in successors(node):
@@ -259,10 +277,8 @@ def _z_level_may_close(edge_fn, anchor: int, subset: frozenset[int], top: int) -
             if nxt not in seen:
                 seen.add(nxt)
                 frontier.append(nxt)
-    if start not in seen:
-        return False
-    closing = {start}
-    frontier = [start]
+    closing = {(s, c) for s, c in seen if s == anchor and (c > 0 if kind == "plus" else c == 0)}
+    frontier = list(closing)
     while frontier:
         for prev in preds.get(frontier.pop(), ()):
             if prev not in closing:
@@ -275,6 +291,7 @@ def _loops_of(machine: Mbca) -> tuple[LoopDescriptor, ...]:
     states = list(machine.states)
     dplus = machine.max_positive_delta()
     found: dict[tuple, LoopDescriptor] = {}
+    top = dplus + 2  # the abstraction keeps counters up to K = d+ + 1 exact
 
     def emit(anchor_i, level, subset, kind, dip, cycle):
         fset = frozenset(states[i] for i in subset)
@@ -303,6 +320,8 @@ def _loops_of(machine: Mbca) -> tuple[LoopDescriptor, ...]:
             for kind in kinds:
                 ok = _closes(anchor, fmask, kind)
                 for dip in range(rel_cap + 1):
+                    if not _may_close(edge_fn, anchor, subset, -dip, top, kind):
+                        continue
                     cycle = _search(edge_fn, anchor, fmask, -dip, rel_cap, ok)
                     if cycle is not None:
                         emit(anchor, LEVEL_POS, subset, kind, dip, cycle)
@@ -315,11 +334,10 @@ def _loops_of(machine: Mbca) -> tuple[LoopDescriptor, ...]:
                     )
 
     # Z-level: full table, absolute counters from zero back to zero.
-    top = dplus + 2  # the abstraction keeps 0..K exact, K = d+ + 1
     for subset, edge_fn, cap in _z_level_sets(machine):
         fmask = _mask(subset)
         for anchor in subset:
-            if not _z_level_may_close(edge_fn, anchor, subset, top):
+            if not _may_close(edge_fn, anchor, subset, 0, top, "equal"):
                 continue
             cycle = _search(edge_fn, anchor, fmask, 0, cap, _closes(anchor, fmask, "equal"))
             if cycle is not None:

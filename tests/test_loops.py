@@ -123,9 +123,9 @@ def test_sign_matches_family(a1, g_omega):
 
 
 @st.composite
-def small_machines(draw):
+def small_machines(draw, max_states=5):
     rng = draw(st.randoms(use_true_random=False))
-    n_states = draw(st.integers(2, 5))
+    n_states = draw(st.integers(2, max_states))
     if draw(st.booleans()):
         return random_machine(rng, n_states=n_states, n_letters=draw(st.integers(2, 3)))
     return random_counter_free(rng, n_states=n_states)
@@ -136,6 +136,7 @@ def small_machines(draw):
 def test_loop_existence_matches_the_product_search(machine):
     """The per-set decisions against the bounded product search they replace."""
     search, mask, closes = loops_module._search, loops_module._mask, loops_module._closes
+    may_close = loops_module._may_close
     dplus = machine.max_positive_delta()
     for subset, edges in loops_module._i_level_sets(machine):
         kinds = loops_module._i_level_kinds(subset, edges)
@@ -153,13 +154,23 @@ def test_loop_existence_matches_the_product_search(machine):
                 is not None
             )
             assert found == kinds, (machine, subset, anchor)
+            # a refused dip has no concrete witness, at every dip up to the minimal one
+            for kind in kinds:
+                closed = closes(anchor, fmask, kind)
+                for dip in range(rel_cap + 1):
+                    witness = search(edge_fn, anchor, fmask, -dip, rel_cap, closed)
+                    for top in (1, dplus + 2):
+                        if not may_close(edge_fn, anchor, subset, -dip, top, kind):
+                            assert witness is None, (machine, subset, anchor, kind, dip, top)
+                    if witness is not None:
+                        break
     for subset, edge_fn, cap in loops_module._z_level_sets(machine):
         fmask = mask(subset)
         for anchor in subset:
             closed = closes(anchor, fmask, "equal")
             # the abstraction is sound for every K = top - 1 >= 0
             for top in (1, dplus + 2):
-                if not loops_module._z_level_may_close(edge_fn, anchor, subset, top):
+                if not may_close(edge_fn, anchor, subset, 0, top, "equal"):
                     assert search(edge_fn, anchor, fmask, 0, cap, closed) is None
 
 
@@ -201,3 +212,66 @@ def test_a_promised_loop_without_a_witness_is_an_internal_error(monkeypatch):
     monkeypatch.setattr(loops_module, "_i_level_kinds", lambda subset, edges: ("equal",))
     with pytest.raises(MbcaError, match=r"I-level equal loop on \{q\} at q"):
         loops(machine)
+
+
+def _reference_loops(machine):
+    """``_loops_of`` by a plain linear dip scan: a concrete search at every dip
+    and for every Z-level anchor, with no abstraction to skip any of them."""
+    L = loops_module
+    states, dplus = machine.states, machine.max_positive_delta()
+    found = set()
+    for subset, edges in L._i_level_sets(machine):
+        fmask, rel_cap = L._mask(subset), L._cap(len(subset), dplus)
+
+        def edge_fn(s, rel, _edges=edges):
+            return _edges[s]
+
+        for anchor in subset:
+            for kind in L._i_level_kinds(subset, edges):
+                closed = L._closes(anchor, fmask, kind)
+                for dip in range(rel_cap + 1):
+                    cycle = L._search(edge_fn, anchor, fmask, -dip, rel_cap, closed)
+                    if cycle is not None:
+                        found.add((anchor, "I", subset, kind, dip, tuple(cycle)))
+                        break
+                else:
+                    raise AssertionError(f"no dip gives the promised {kind} loop")
+    for subset, edge_fn, cap in L._z_level_sets(machine):
+        fmask = L._mask(subset)
+        for anchor in subset:
+            cycle = L._search(edge_fn, anchor, fmask, 0, cap, L._closes(anchor, fmask, "equal"))
+            if cycle is not None:
+                found.add((anchor, "Z", subset, "equal", 0, tuple(cycle)))
+    return sorted(
+        (states[a], level, tuple(sorted(states[i] for i in subset)), kind, dip, cycle)
+        for a, level, subset, kind, dip, cycle in found
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_machines(max_states=6))
+def test_refuted_dips_leave_the_loops_of_the_linear_scan(machine):
+    got = sorted(
+        (d.anchor, d.level, tuple(sorted(d.essential_set)), d.delta_kind, d.dip, d.cycle)
+        for d in loops_module._loops_of(machine)
+    )
+    assert got == _reference_loops(machine), machine
+
+
+def test_loop_enumeration_makes_no_failing_product_search(monkeypatch):
+    """Every concrete search the enumeration runs finds its witness: dips that
+    cannot close are refuted by the abstraction first.  Counted, not timed."""
+    search, failing = loops_module._search, []
+
+    def counted(*args):
+        cycle = search(*args)
+        if cycle is None:
+            failing.append(args[1])
+        return cycle
+
+    monkeypatch.setattr(loops_module, "_search", counted)
+    machines = [random_machine(random.Random(seed), 6) for seed in range(30)]
+    machines.append(random_machine(random.Random(1000), 10))
+    for machine in machines:
+        loops_module._loops_of(machine)
+        assert not failing, machine
