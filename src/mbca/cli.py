@@ -1,17 +1,20 @@
 """Command-line front end: parse the text formats, run the pipeline, report.
 
-Exit codes: 0 success, 1 validation failure, 2 usage error.  ``--format
-structured`` prints one canonical JSON document per invocation (sorted keys,
-two-space indent), stable under parse-and-rerender.
+``COMMANDS`` maps each command name to its handler and its flags, and
+``_parse`` reads ``[--format text|structured] COMMAND --flag value ...`` against
+that table alone; it needs no argparse, so a cold run imports no gettext or
+locale.  Exit codes: 0 success, 1 validation failure, 2 usage error.
+``--format structured`` prints one canonical JSON document per invocation
+(sorted keys, two-space indent), stable under parse-and-rerender.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
-from functools import cache
+from collections import namedtuple
 from pathlib import Path
+from types import SimpleNamespace
 
 from .arena import copycat, default_suite, parse_strategy, play, validate_strategy
 from .automaton import InvalidMachine, Mbca, MbcaError, emit_machine, parse_machine
@@ -332,58 +335,90 @@ def _cmd_selftest(args) -> int:
     return 0 if failed == 0 else 1
 
 
-@cache
-def _parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and kept: it never changes."""
-    parser = argparse.ArgumentParser(
-        prog="mbca",
-        description="Analyze blind-counter Muller automata and their Wadge classes",
-    )
-    parser.add_argument("--format", choices=["text", "structured"], default="text")
-    sub = parser.add_subparsers(dest="command", required=True)
+# -- the command table and its parser ------------------------------------------------
 
-    def add(name, func, **flags):
-        p = sub.add_parser(name)
-        for flag, kwargs in flags.items():
-            p.add_argument(flag, **kwargs)
-        p.set_defaults(func=func)
-        return p
+Flag = namedtuple("Flag", "dest required default convert", defaults=(True, None, None))
+_MACHINE = {"--machine": Flag("machine")}
+COMMANDS = {
+    "validate": (_cmd_validate, _MACHINE),
+    "simulate": (_cmd_simulate, {**_MACHINE, "--word": Flag("word")}),
+    "member": (_cmd_member, {**_MACHINE, "--word": Flag("word")}),
+    "loops": (_cmd_loops, _MACHINE),
+    "chains": (_cmd_chains, _MACHINE),
+    "superchains": (_cmd_superchains, _MACHINE),
+    "invariants": (_cmd_invariants, _MACHINE),
+    "classify": (_cmd_classify, _MACHINE),
+    "compare": (_cmd_compare, {**_MACHINE, "--other": Flag("other")}),
+    "canonical": (_cmd_canonical, {"--class": Flag("class_spec")}),
+    "game": (_cmd_game, {
+        **_MACHINE, "--other": Flag("other"), "--strategy": Flag("strategy", False),
+        "--opponent": Flag("opponent", False), "--horizon": Flag("horizon", False, 10_000, int),
+    }),
+    "selftest": (_cmd_selftest, {}),
+}
 
-    add("validate", _cmd_validate, **{"--machine": {"required": True}})
-    add("simulate", _cmd_simulate, **{"--machine": {"required": True}, "--word": {"required": True}})
-    add("member", _cmd_member, **{"--machine": {"required": True}, "--word": {"required": True}})
-    add("loops", _cmd_loops, **{"--machine": {"required": True}})
-    add("chains", _cmd_chains, **{"--machine": {"required": True}})
-    add("superchains", _cmd_superchains, **{"--machine": {"required": True}})
-    add("invariants", _cmd_invariants, **{"--machine": {"required": True}})
-    add("classify", _cmd_classify, **{"--machine": {"required": True}})
-    add("compare", _cmd_compare, **{"--machine": {"required": True}, "--other": {"required": True}})
-    canon = sub.add_parser("canonical")
-    canon.add_argument("--class", dest="class_spec", required=True)
-    canon.set_defaults(func=_cmd_canonical)
-    game = sub.add_parser("game")
-    game.add_argument("--machine", required=True)
-    game.add_argument("--other", required=True)
-    game.add_argument("--strategy")
-    game.add_argument("--opponent")
-    game.add_argument("--horizon", type=int, default=10_000)
-    game.set_defaults(func=_cmd_game)
-    add("selftest", _cmd_selftest)
-    return parser
+
+def _usage(command: str | None) -> str:
+    """The top-level synopsis, or one command's with its flags."""
+    if command is None:
+        return f"[-h] [--format {{text,structured}}] {{{','.join(COMMANDS)}}} ..."
+    flags = (f"{o} {f.dest.upper()}" if f.required else f"[{o} {f.dest.upper()}]"
+             for o, f in COMMANDS[command][1].items())
+    return " ".join([command, *flags])
+
+
+def _fail(command: str | None, message: str):
+    sys.stderr.write(f"usage: mbca {_usage(command)}\nmbca: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """Read the command line against ``COMMANDS``; a usage error exits with status 2."""
+    args = SimpleNamespace(format="text", command=None)
+    flags = {"--format": Flag("format", False)}
+    tokens = iter(argv)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            print(f"usage: mbca {_usage(args.command)}")
+            if args.command is None:
+                print("\ncommands:", *(f"  {_usage(c)}" for c in COMMANDS), sep="\n")
+            raise SystemExit(0)
+        if not token.startswith("-"):
+            if args.command:
+                _fail(args.command, f"unrecognized argument: {token}")
+            if token not in COMMANDS:
+                _fail(None, f"invalid command: {token!r}")
+            args.command, flags = token, COMMANDS[token][1]
+            args.__dict__.update((f.dest, f.default) for f in flags.values())
+            continue
+        option, eq, value = token.partition("=")
+        if option not in flags:
+            _fail(args.command, f"unrecognized argument: {option}")
+        if not eq:
+            value = next(tokens, None)
+            if value is None or value.startswith("-"):
+                _fail(args.command, f"argument {option}: expected one value")
+        try:
+            setattr(args, flags[option].dest, (flags[option].convert or str)(value))
+        except ValueError:
+            _fail(args.command, f"argument {option}: invalid int value: {value!r}")
+    if args.format not in ("text", "structured"):
+        _fail(None, f"argument --format: invalid choice: {args.format!r}")
+    missing = [o for o, f in flags.items() if f.required and getattr(args, f.dest) is None]
+    if args.command is None or missing:
+        _fail(args.command, f"missing: {', '.join(missing) or 'COMMAND'}")
+    return args
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
-        return args.func(args)
+        return COMMANDS[args.command][0](args)
     except InvalidMachine as err:
         for v in err.violations:
             print(f"{v.rule}: {v.detail}", file=sys.stderr)
         return 1
-    except MbcaError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:  # missing file, a directory, no permission
+    except (MbcaError, OSError) as err:  # OSError: missing file, a directory, no permission
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -14,7 +14,7 @@ giving lengths omega*p + s below omega^2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import total_ordering
+from functools import total_ordering, wraps
 
 from .automaton import LEVEL_POS, Configuration, Mbca, memo
 from .loops import LoopDescriptor, admissible, loops
@@ -110,6 +110,20 @@ def _opposite(sign: str) -> str:
     return "negative" if sign == "positive" else "positive"
 
 
+def _cached(method):
+    """Memoize an ``Analyzer`` method per instance and argument: its inputs (the
+    machine and the thresholds) are fixed when the instance is made."""
+
+    @wraps(method)
+    def cached(self, *args):
+        key = (method.__name__, *args)
+        if key not in self._cache:
+            self._cache[key] = method(self, *args)
+        return self._cache[key]
+
+    return cached
+
+
 class Analyzer:
     """One machine (plus per-state counter thresholds) analyzed lazily.
 
@@ -121,105 +135,94 @@ class Analyzer:
     def __init__(self, machine: Mbca, thresholds: dict[str, int] | None = None):
         self.machine = machine
         self.thresholds = dict(thresholds or {})
-        self._cache: dict[str, object] = {}
-
-    def _memo(self, key, build):
-        if key not in self._cache:
-            self._cache[key] = build()
-        return self._cache[key]
+        self._cache: dict[tuple, object] = {}
 
     # -- loops and essential sets ----------------------------------------
 
     def threshold(self, state: str) -> int:
         return self.thresholds.get(state, 0)
 
+    @_cached
     def admissible_loops(self) -> tuple[LoopDescriptor, ...]:
-        return self._memo(
-            "admissible",
-            lambda: tuple(
-                d
-                for d in loops(self.machine)
-                if admissible(self.machine, d, self.threshold(d.anchor))
-            ),
+        return tuple(
+            d
+            for d in loops(self.machine)
+            if admissible(self.machine, d, self.threshold(d.anchor))
         )
 
+    @_cached
     def essential(self) -> dict[frozenset[str], str]:
-        def build():
-            out: dict[frozenset[str], str] = {}
-            for d in self.admissible_loops():
-                out[d.essential_set] = d.sign
-            return out
+        return {f: ds[-1].sign for f, ds in self._descriptor_index().items()}
 
-        return self._memo("essential", build)
+    @_cached
+    def _descriptor_index(self) -> dict[frozenset[str], tuple[LoopDescriptor, ...]]:
+        index: dict[frozenset[str], tuple[LoopDescriptor, ...]] = {}
+        for d in self.admissible_loops():
+            index[d.essential_set] = index.get(d.essential_set, ()) + (d,)
+        return index
 
     def descriptors(self, essential_set: frozenset[str]) -> tuple[LoopDescriptor, ...]:
-        return tuple(
-            d for d in self.admissible_loops() if d.essential_set == essential_set
-        )
+        """The admissible loops of one essential set, in ``admissible_loops()`` order."""
+        return self._descriptor_index().get(essential_set, ())
 
+    @_cached
     def sites(self) -> tuple[frozenset[str], ...]:
-        def build():
-            ess = list(self.essential())
-            return tuple(
-                sorted(
-                    (f for f in ess if not any(f < g for g in ess)),
-                    key=sorted,
-                )
+        ess = list(self.essential())
+        return tuple(
+            sorted(
+                (f for f in ess if not any(f < g for g in ess)),
+                key=sorted,
             )
-
-        return self._memo("sites", build)
+        )
 
     # -- chains -----------------------------------------------------------
 
+    @_cached
     def _chain_data(self):
         """Per site: maximal chain length and one representative per first sign."""
+        ess = self.essential()
+        info = {}
+        for site in self.sites():
+            inside = sorted(
+                (f for f in ess if f <= site), key=lambda f: (len(f), sorted(f))
+            )
+            lp: dict[frozenset[str], int] = {}
+            first: dict[frozenset[str], set[str]] = {}
+            for f in inside:
+                lp[f], first[f] = 1, {ess[f]}
+                for e in inside:
+                    if e < f and ess[e] != ess[f]:
+                        if lp[e] + 1 > lp[f]:
+                            lp[f], first[f] = lp[e] + 1, set(first[e])
+                        elif lp[e] + 1 == lp[f] and lp[f] > 1:
+                            first[f] |= first[e]
+            length = max(lp[f] for f in inside)
 
-        def build():
-            ess = self.essential()
-            info = {}
-            for site in self.sites():
-                inside = sorted(
-                    (f for f in ess if f <= site), key=lambda f: (len(f), sorted(f))
-                )
-                lp: dict[frozenset[str], int] = {}
-                first: dict[frozenset[str], set[str]] = {}
-                for f in inside:
-                    lp[f], first[f] = 1, {ess[f]}
-                    for e in inside:
-                        if e < f and ess[e] != ess[f]:
-                            if lp[e] + 1 > lp[f]:
-                                lp[f], first[f] = lp[e] + 1, set(first[e])
-                            elif lp[e] + 1 == lp[f] and lp[f] > 1:
-                                first[f] |= first[e]
-                length = max(lp[f] for f in inside)
+            def rebuild(end, sign):
+                sets = [end]
+                cur, need = end, lp[end]
+                while need > 1:
+                    cur = next(
+                        e
+                        for e in inside
+                        if e < cur
+                        and ess[e] != ess[cur]
+                        and lp[e] == need - 1
+                        and sign in first[e]
+                    )
+                    sets.append(cur)
+                    need -= 1
+                sets.reverse()
+                return Chain(tuple(sets), sign, site)
 
-                def rebuild(end, sign):
-                    sets = [end]
-                    cur, need = end, lp[end]
-                    while need > 1:
-                        cur = next(
-                            e
-                            for e in inside
-                            if e < cur
-                            and ess[e] != ess[cur]
-                            and lp[e] == need - 1
-                            and sign in first[e]
-                        )
-                        sets.append(cur)
-                        need -= 1
-                    sets.reverse()
-                    return Chain(tuple(sets), sign, site)
-
-                reps: dict[str, Chain] = {}
-                for f in inside:
-                    if lp[f] == length:
-                        for sign in sorted(first[f]):
-                            if sign not in reps:
-                                reps[sign] = rebuild(f, sign)
-                info[site] = (length, frozenset(reps), reps)
-            return info
-
-        return self._memo("chain_data", build)
+            reps: dict[str, Chain] = {}
+            for f in inside:
+                if lp[f] == length:
+                    for sign in sorted(first[f]):
+                        if sign not in reps:
+                            reps[sign] = rebuild(f, sign)
+            info[site] = (length, frozenset(reps), reps)
+        return info
 
     def chains(self) -> tuple[Chain, ...]:
         """One longest alternating chain per site (per achievable first sign)."""
@@ -247,11 +250,9 @@ class Analyzer:
 
     # -- reachability helpers ----------------------------------------------
 
+    @_cached
     def initial_reach(self):
-        return self._memo(
-            "initial_reach",
-            lambda: analysis(self.machine, self.machine.initial_configuration()),
-        )
+        return analysis(self.machine, self.machine.initial_configuration())
 
     def high_floor(self) -> int:
         k = len(self.machine.states)
@@ -268,7 +269,8 @@ class Analyzer:
             net += delta
         return net
 
-    def loop_sources(self, essential_set: frozenset[str]) -> list[Configuration]:
+    @_cached
+    def loop_sources(self, essential_set: frozenset[str]) -> tuple[Configuration, ...]:
         """Configurations from which everything reachable while iterating some
         admissible loop of the set is reachable (highest known entry points)."""
         sources = []
@@ -288,12 +290,12 @@ class Analyzer:
             else:
                 entry = sr.max_finite()  # at least opmin, since entry was found
             sources.append(Configuration(d.anchor, entry))
-        return sources
+        return tuple(sources)
 
     def _reach_from(self, source: Configuration) -> ReachSet:
         return analysis(self.machine, source).reach_set
 
-    def site_anchored_reachable(self, sources: list[Configuration], site) -> bool:
+    def site_anchored_reachable(self, sources, site) -> bool:
         for src in sources:
             rs = self._reach_from(src)
             for d in self.descriptors(site):
@@ -301,58 +303,56 @@ class Analyzer:
                     return True
         return False
 
-    def tail_reaches(self, sources: list[Configuration], target_state: str) -> bool:
+    def tail_reaches(self, sources, target_state: str) -> bool:
         return any(
             self._reach_from(src).at(target_state).tail is not None for src in sources
         )
 
     # -- omega structure ----------------------------------------------------
 
+    @_cached
     def links(self) -> tuple[OmegaLink, ...]:
-        def build():
-            out = []
-            signs = {site: self.site_first_signs(site) for site in self.max_sites()}
-            pos_sites = [s for s in self.max_sites() if "positive" in signs[s]]
-            neg_sites = [s for s in self.max_sites() if "negative" in signs[s]]
-            init = self.initial_reach().reach_set
-            high = self.high_floor()
-            for p_site in pos_sites:
-                for n_site in neg_sites:
-                    if p_site == n_site:
+        out = []
+        signs = {site: self.site_first_signs(site) for site in self.max_sites()}
+        pos_sites = [s for s in self.max_sites() if "positive" in signs[s]]
+        neg_sites = [s for s in self.max_sites() if "negative" in signs[s]]
+        init = self.initial_reach().reach_set
+        high = self.high_floor()
+        for p_site in pos_sites:
+            for n_site in neg_sites:
+                if p_site == n_site:
+                    continue
+                link = None
+                for dp in self.descriptors(p_site):
+                    if dp.level != LEVEL_POS or dp.delta_kind != "equal":
                         continue
-                    link = None
-                    for dp in self.descriptors(p_site):
-                        if dp.level != LEVEL_POS or dp.delta_kind != "equal":
+                    if init.at(dp.anchor).tail is None:
+                        continue
+                    for dn in self.descriptors(n_site):
+                        if dn.level != LEVEL_POS or dn.delta_kind != "equal":
                             continue
-                        if init.at(dp.anchor).tail is None:
+                        if init.at(dn.anchor).tail is None:
                             continue
-                        for dn in self.descriptors(n_site):
-                            if dn.level != LEVEL_POS or dn.delta_kind != "equal":
-                                continue
-                            if init.at(dn.anchor).tail is None:
-                                continue
-                            src_p = Configuration(
-                                dp.anchor,
-                                init.at(dp.anchor).least_value_at_least(high),
-                            )
-                            src_n = Configuration(
-                                dn.anchor,
-                                init.at(dn.anchor).least_value_at_least(high),
-                            )
-                            fwd = self._reach_from(src_p).at(dn.anchor)
-                            bwd = self._reach_from(src_n).at(dp.anchor)
-                            if fwd.has_value_at_least(
-                                self.operating_min(dn)
-                            ) and bwd.has_value_at_least(self.operating_min(dp)):
-                                link = OmegaLink(p_site, n_site, dp, dn)
-                                break
-                        if link:
+                        src_p = Configuration(
+                            dp.anchor,
+                            init.at(dp.anchor).least_value_at_least(high),
+                        )
+                        src_n = Configuration(
+                            dn.anchor,
+                            init.at(dn.anchor).least_value_at_least(high),
+                        )
+                        fwd = self._reach_from(src_p).at(dn.anchor)
+                        bwd = self._reach_from(src_n).at(dp.anchor)
+                        if fwd.has_value_at_least(
+                            self.operating_min(dn)
+                        ) and bwd.has_value_at_least(self.operating_min(dp)):
+                            link = OmegaLink(p_site, n_site, dp, dn)
                             break
                     if link:
-                        out.append(link)
-            return tuple(out)
-
-        return self._memo("links", build)
+                        break
+                if link:
+                    out.append(link)
+        return tuple(out)
 
     def _link_high_sources(self, link: OmegaLink) -> list[Configuration]:
         init = self.initial_reach().reach_set
@@ -366,30 +366,28 @@ class Analyzer:
                 sources.append(Configuration(s, sr.max_finite()))
         return sources
 
+    @_cached
     def _link_edges(self):
-        def build():
-            links = self.links()
-            edges: dict[int, set[int]] = {i: set() for i in range(len(links))}
-            for i, a in enumerate(links):
-                srcs = self._link_high_sources(a)
-                for j, b in enumerate(links):
-                    if i == j:
-                        continue
-                    # every state of the next unit, with genuinely re-pumped counters,
-                    # from every state of this one
-                    if all(
-                        any(
-                            self._reach_from(src).at(t).tail is not None
-                            for src in srcs
-                            if src.state == s
-                        )
-                        for s in sorted(a.states())
-                        for t in sorted(b.states())
-                    ):
-                        edges[i].add(j)
-            return edges
-
-        return self._memo("link_edges", build)
+        links = self.links()
+        edges: dict[int, set[int]] = {i: set() for i in range(len(links))}
+        for i, a in enumerate(links):
+            srcs = self._link_high_sources(a)
+            for j, b in enumerate(links):
+                if i == j:
+                    continue
+                # every state of the next unit, with genuinely re-pumped counters,
+                # from every state of this one
+                if all(
+                    any(
+                        self._reach_from(src).at(t).tail is not None
+                        for src in srcs
+                        if src.state == s
+                    )
+                    for s in sorted(a.states())
+                    for t in sorted(b.states())
+                ):
+                    edges[i].add(j)
+        return edges
 
     def _link_chains(self) -> list[tuple[int, ...]]:
         """All simple paths over links (indices), longest first."""
@@ -410,18 +408,16 @@ class Analyzer:
 
     # -- superchain assembly -------------------------------------------------
 
+    @_cached
     def _h_edges(self):
-        def build():
-            sites = self.max_sites()
-            edges: dict[frozenset, set[frozenset]] = {s: set() for s in sites}
-            for a in sites:
-                sources = self.loop_sources(a)
-                for b in sites:
-                    if a != b and self.site_anchored_reachable(sources, b):
-                        edges[a].add(b)
-            return edges
-
-        return self._memo("h_edges", build)
+        sites = self.max_sites()
+        edges: dict[frozenset, set[frozenset]] = {s: set() for s in sites}
+        for a in sites:
+            sources = self.loop_sources(a)
+            for b in sites:
+                if a != b and self.site_anchored_reachable(sources, b):
+                    edges[a].add(b)
+        return edges
 
     def _alternating_paths(self, allowed, require_tail_to=None):
         """Longest alternating simple paths over allowed sites.
@@ -491,6 +487,7 @@ class Analyzer:
                 out.append(d)
         return out
 
+    @_cached
     def _superchain_summary(self):
         """Maximal (p, s) length, the entry structures achieving it, and one
         superchain of that length per achieved sign.
@@ -500,37 +497,33 @@ class Analyzer:
         needs every one of them.  The superchain kept for a sign is the first
         maximal one the pass meets.
         """
+        found: list[tuple[tuple, Superchain]] = []  # (entry, superchain) in pass order
 
-        def build():
-            found: list[tuple[tuple, Superchain]] = []  # (entry, superchain) in pass order
+        def prefixed(p, omega, s, firsts):
+            for (site, sign), path in firsts.items():
+                finite = tuple(self.site_chain(f, fs) for f, fs in path)
+                sc = Superchain(OrdinalW2(p, s), finite, omega, sign, None)
+                found.append((("site", site), sc))
 
-            def prefixed(p, omega, s, firsts):
-                for (site, sign), path in firsts.items():
-                    finite = tuple(self.site_chain(f, fs) for f, fs in path)
-                    sc = Superchain(OrdinalW2(p, s), finite, omega, sign, None)
-                    found.append((("site", site), sc))
-
-            if self.max_sites():
-                prefixed(0, (), *self._alternating_paths(self.max_sites()))
-            links = self.links()
-            for chain in self._link_chains():
-                omega = tuple(links[i] for i in chain)
-                p = len(chain)
-                anchors = (omega[0].pos_loop.anchor, omega[0].neg_loop.anchor)
-                allowed = self._prefix_allowed(chain)
-                prefixed(p, omega, *self._alternating_paths(allowed, require_tail_to=anchors))
-                for d in self._loop_entries(omega[0]):
-                    found.append((("loop", d), Superchain(OrdinalW2(p, 0), (), omega, d.sign, d)))
-            top = max((sc.length for _, sc in found), default=OrdinalW2(0, 0))
-            entries: dict[str, set] = {"positive": set(), "negative": set()}
-            kept: dict[str, Superchain] = {}
-            for entry, sc in found:
-                if sc.length == top:
-                    entries[sc.sign].add(entry)
-                    kept.setdefault(sc.sign, sc)
-            return top, entries, kept
-
-        return self._memo("superchain_summary", build)
+        if self.max_sites():
+            prefixed(0, (), *self._alternating_paths(self.max_sites()))
+        links = self.links()
+        for chain in self._link_chains():
+            omega = tuple(links[i] for i in chain)
+            p = len(chain)
+            anchors = (omega[0].pos_loop.anchor, omega[0].neg_loop.anchor)
+            allowed = self._prefix_allowed(chain)
+            prefixed(p, omega, *self._alternating_paths(allowed, require_tail_to=anchors))
+            for d in self._loop_entries(omega[0]):
+                found.append((("loop", d), Superchain(OrdinalW2(p, 0), (), omega, d.sign, d)))
+        top = max((sc.length for _, sc in found), default=OrdinalW2(0, 0))
+        entries: dict[str, set] = {"positive": set(), "negative": set()}
+        kept: dict[str, Superchain] = {}
+        for entry, sc in found:
+            if sc.length == top:
+                entries[sc.sign].add(entry)
+                kept.setdefault(sc.sign, sc)
+        return top, entries, kept
 
     def superchain_entry_options(self) -> dict[str, set]:
         """Entry structures of every maximal superchain, keyed by sign."""

@@ -1,9 +1,13 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mbca
 from mbca import emit_machine
-from mbca.cli import main
+from mbca.cli import COMMANDS, main
 from conftest import a1_machine, a_all_machine, a_none_machine
 
 
@@ -158,3 +162,89 @@ def test_non_utf8_machine_is_a_usage_error(capsys, tmp_path):
 def test_letter_outside_alphabet_is_a_usage_error(machine_files, capsys, command):
     line = _usage_error(capsys, [command, "--machine", machine_files["A1"], "--word", "a z ; c"])
     assert "'z'" in line and "A1" in line
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        ([], "COMMAND"),
+        (["--format", "structured"], "COMMAND"),
+        (["bogus", "--machine", "A1"], "bogus"),
+        (["classify", "--mach", "A1"], "--mach"),
+        (["classify", "--machine"], "--machine"),
+        (["member", "--machine", "--word", "a ; c"], "--machine"),
+        (["--format"], "--format"),
+        (["member", "--machine", "A1"], "--word"),
+        (["canonical"], "--class"),
+        (["--format", "xml", "classify", "--machine", "A1"], "xml"),
+        (["classify", "--format", "structured", "--machine", "A1"], "--format"),
+        (["game", "--machine", "A1", "--other", "A1", "--horizon", "ten"], "ten"),
+        (["game", "--machine", "A1", "--other", "A1", "--horizon=1e3"], "1e3"),
+        (["classify", "--machine", "A1", "stray"], "stray"),
+    ],
+    ids=[
+        "no-command", "format-only", "unknown-command", "unknown-flag", "no-value",
+        "flag-as-value", "format-no-value", "missing-required", "missing-class",
+        "bad-format", "format-after-command", "non-int-horizon", "non-int-horizon-eq",
+        "stray-positional",
+    ],
+)
+def test_usage_errors_exit_2_with_one_usage_and_one_error_line(machine_files, capsys, argv, named):
+    argv = [machine_files["A1"] if arg == "A1" else arg for arg in argv]
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    usage, error = captured.err.splitlines()
+    assert usage.startswith("usage: mbca ") and error.startswith("mbca: error: ")
+    assert named in error
+
+
+def test_help_lists_every_command_and_flag(capsys):
+    shown = ""
+    for argv in (["--help"], ["classify", "-h"]):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        shown += captured.out
+    assert "--format" in shown and "-h" in shown
+    for name, (_, flags) in COMMANDS.items():
+        assert name in shown
+        for option in flags:
+            assert option in shown
+    with pytest.raises(SystemExit):
+        main(["game", "--help"])
+    assert "[--horizon HORIZON]" in capsys.readouterr().out
+
+
+def test_equals_form_matches_spaced_form(machine_files, capsys):
+    a1 = machine_files["A1"]
+    assert main(["--format", "structured", "classify", "--machine", a1]) == 0
+    spaced = capsys.readouterr().out
+    assert main(["--format=structured", "classify", f"--machine={a1}"]) == 0
+    assert capsys.readouterr().out == spaced
+    assert main(["game", "--machine", a1, "--other", a1, "--horizon=50"]) == 0
+    tournament = capsys.readouterr().out
+    assert main(["game", "--machine", a1, "--other", a1, "--horizon", "50"]) == 0
+    assert capsys.readouterr().out == tournament
+
+
+def test_classify_imports_no_argument_parser():
+    """A cold ``classify`` loads neither argparse nor gettext and locale, which
+    argparse pulls in through its first translated string."""
+    script = (
+        "import sys, io, contextlib\n"
+        "from mbca.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['--format', 'structured', 'classify', '--machine', 'machines/A1.mbca'])\n"
+        "print(code, [m for m in ('argparse', 'gettext', 'locale') if m in sys.modules])\n"
+    )
+    root = Path(mbca.__file__).resolve().parents[2]
+    env = {"PYTHONPATH": str(root / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", script], cwd=root, env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "0 []"

@@ -87,6 +87,16 @@ def test_derivation_keeping_m_is_an_internal_error(monkeypatch):
         naming._name_of(canonical("E_1^1"))
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=MbcaError,
+    reason="ROADMAP item 1: derivation did not shrink m = 1 on these two valid machines",
+)
+@pytest.mark.parametrize("seed, n_states", [(2084, 5), (353, 7)])
+def test_naming_succeeds_on_the_known_failures(seed, n_states):
+    wadge_name(random_machine(random.Random(seed), n_states))
+
+
 def test_derive_threshold_three():
     """The negative wing sits behind three forced pops: n_q = 3 at the branch."""
     machine = validate(
