@@ -8,6 +8,8 @@ counter, which by blindness cannot influence behavior and is bookkeeping
 only).  A play is driven until the joint strategy state repeats at a
 player-1 turn boundary, which closes both emission streams into ultimately
 periodic words; the verdict is then decided by the membership oracle.
+A tournament hands its plays one verdict memo keyed by (machine, word), so a
+word that many plays produce is simulated once.
 """
 
 from __future__ import annotations
@@ -90,42 +92,67 @@ def table_player1(emissions: dict[str, str], name: str = "p1") -> Strategy:
     return Strategy(name, 1, "s", rules)
 
 
+Verdicts = dict[tuple[Mbca, UPWord], bool]  # (machine, word) -> member(machine, word)
+
+
+def _judge(machine: Mbca, word: UPWord, verdicts: Verdicts | None) -> bool:
+    if verdicts is None:
+        return member(machine, word)
+    key = (machine, word)
+    verdict = verdicts.get(key)
+    if verdict is None:
+        verdict = verdicts[key] = member(machine, word)
+    return verdict
+
+
 def play(
     a_machine: Mbca,
     b_machine: Mbca,
     s1: Strategy,
     s2: Strategy,
     horizon: int = 10_000,
+    *,
+    verdicts: Verdicts | None = None,
 ) -> PlayRecord:
-    """Run the alternation until both emission streams close into UP words."""
+    """Run the alternation until both emission streams close into UP words.
+
+    ``verdicts`` memoizes membership by (machine, word) across plays, so a
+    word met again is judged once; ``None`` judges every word afresh.  The
+    record is the same either way."""
     if s1.role != 1 or s2.role != 2:
         raise MbcaError("play needs a role-1 and a role-2 strategy, in that order")
+    rules1, rules2 = s1.rules, s2.rules
+    a_alphabet, b_alphabet = a_machine.alphabet, b_machine.alphabet
     skip_budget = None  # read only after a skip, so counted at the first one
     state1, state2 = s1.initial, s2.initial
-    a_letters: list[str] = []
+    a_letters: list[str] = []  # one letter per turn, so turn t starts at a_letters[t]
     b_letters: list[str] = []
+    b_marks: list[int] = []  # len(b_letters) at the start of each turn
     token_for_1 = START
     # the pending token is part of the joint state: player 1's next move reads it
-    seen: dict[tuple[str, str, str], tuple[int, int, int]] = {}
+    seen: dict[tuple[str, str, str], int] = {}  # joint state -> the turn it began
     consecutive_skips = 0
     for turn in range(horizon):
         key = (state1, state2, token_for_1)
-        if key in seen:
-            _, a_mark, b_mark = seen[key]
+        a_mark = seen.get(key)
+        if a_mark is not None:
+            b_mark = b_marks[a_mark]
             a_word = UPWord(tuple(a_letters[:a_mark]), tuple(a_letters[a_mark:]))
             b_period = tuple(b_letters[b_mark:])
             if not b_period:
                 return PlayRecord(a_word, None, "player1wins")
             b_word = UPWord(tuple(b_letters[:b_mark]), b_period)
-            ok = member(a_machine, a_word) == member(b_machine, b_word)
+            ok = _judge(a_machine, a_word, verdicts) == _judge(b_machine, b_word, verdicts)
             return PlayRecord(a_word, b_word, "player2wins" if ok else "player1wins")
-        seen[key] = (turn, len(a_letters), len(b_letters))
+        seen[key] = turn
+        b_marks.append(len(b_letters))
 
-        a_letter, state1, _ = s1.emit(state1, token_for_1)
-        if a_letter not in a_machine.alphabet:
+        # a rule is a nonempty tuple; emit is reached only to raise for a missing one
+        a_letter, state1, _ = rules1.get((state1, token_for_1)) or s1.emit(state1, token_for_1)
+        if a_letter not in a_alphabet:
             raise MbcaError(f"player 1 emitted {a_letter!r} outside the left alphabet")
         a_letters.append(a_letter)
-        b_token, state2, _ = s2.emit(state2, a_letter)
+        b_token, state2, _ = rules2.get((state2, a_letter)) or s2.emit(state2, a_letter)
         if b_token == SKIP:
             consecutive_skips += 1
             if skip_budget is None:
@@ -135,7 +162,7 @@ def play(
                     f"player 2 skipped {consecutive_skips} consecutive turns"
                 )
         else:
-            if b_token not in b_machine.alphabet:
+            if b_token not in b_alphabet:
                 raise MbcaError(f"player 2 emitted {b_token!r} outside the right alphabet")
             consecutive_skips = 0
             b_letters.append(b_token)
@@ -172,14 +199,17 @@ def default_suite(a_alphabet, b_alphabet, limit: int = 512) -> list[Strategy]:
     tokens = [START, SKIP] + sorted(b_alphabet)
     letters = sorted(a_alphabet)
     total = len(letters) ** len(tokens)
+    # table_player1's rules, each key and each move built once for the whole suite
+    keys = [("s", token) for token in tokens]
+    moves = [(letter, "s", 0) for letter in letters]
 
     def build(index: int) -> Strategy:
-        emissions = {}
+        rules = {}
         rest = index
-        for token in tokens:
-            emissions[token] = letters[rest % len(letters)]
-            rest //= len(letters)
-        return table_player1(emissions, name=f"p1#{index}")
+        for key in keys:
+            rules[key] = moves[rest % len(moves)]
+            rest //= len(moves)
+        return Strategy(f"p1#{index}", 1, "s", rules)
 
     if total <= limit:
         return [build(i) for i in range(total)]
@@ -194,12 +224,16 @@ def validate_strategy(
     suite: list[Strategy] | None = None,
     horizon: int = 10_000,
 ) -> TournamentReport:
-    """Play the defender against every suite member and report the losses."""
+    """Play the defender against every suite member and report the losses.
+
+    The plays share one verdict memo, so each distinct (machine, word) met
+    in the tournament is simulated once."""
     if suite is None:
         suite = default_suite(a_machine.alphabet, b_machine.alphabet)
     report = TournamentReport(defender=s2.name)
+    verdicts: Verdicts = {}
     for s1 in suite:
-        record = play(a_machine, b_machine, s1, s2, horizon=horizon)
+        record = play(a_machine, b_machine, s1, s2, horizon=horizon, verdicts=verdicts)
         report.plays += 1
         if record.verdict == "player1wins":
             report.losses.append(s1.name)

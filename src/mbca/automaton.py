@@ -6,6 +6,11 @@ level "Z" applies when the counter is zero and "I" when it is positive.
 Blindness means every Z-level entry is mirrored verbatim at I-level, so the
 machine can never observe its counter; the converse may fail, which is how a
 run blocks at zero level.
+
+A machine is compiled twice, lazily and once per instance: ``Mbca.moves``
+indexes states and splits edges by level for the searches, and
+``Mbca.step_table`` gives each state one row per level, letter ->
+(target, delta), for runs, ``Mbca.entry`` and :func:`step`.
 """
 
 from __future__ import annotations
@@ -56,6 +61,7 @@ class InvalidMachine(MbcaError):
 
 
 Edge = tuple[str, int, int]  # (letter, target index, delta)
+StepRow = dict[str, tuple[str, int]]  # one state's moves at one level: letter -> (target, delta)
 
 
 class Moves(NamedTuple):
@@ -143,16 +149,20 @@ class Mbca:
 
     def entry(self, state: str, letter: str, level: str) -> tuple[str, int] | None:
         zero, pos = self.step_table
-        return (zero if level == LEVEL_ZERO else pos).get((state, letter))
+        row = (zero if level == LEVEL_ZERO else pos).get(state)
+        return None if row is None else row.get(letter)
 
     @cached_property
-    def step_table(self) -> tuple[dict[tuple[str, str], tuple[str, int]], ...]:
-        """(zero, pos): (state, letter) -> (target, delta), one dict per level.
+    def step_table(self) -> tuple[dict[str, StepRow], dict[str, StepRow]]:
+        """(zero, pos): state -> its row, letter -> (target, delta), one table per level.
 
-        Built once per instance, outside the compared and hashed fields."""
-        zero, pos = {}, {}
+        Every state has a row at both levels, empty where it has no move, so a
+        run reads a letter with two plain lookups and builds no key.  Built
+        once per instance, outside the compared and hashed fields."""
+        zero: dict[str, StepRow] = {q: {} for q in self.states}
+        pos: dict[str, StepRow] = {q: {} for q in self.states}
         for t in self.transitions:
-            (zero if t.level == LEVEL_ZERO else pos)[t.source, t.letter] = (t.target, t.delta)
+            (zero if t.level == LEVEL_ZERO else pos)[t.source][t.letter] = (t.target, t.delta)
         return zero, pos
 
     @cached_property

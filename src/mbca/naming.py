@@ -8,11 +8,13 @@ threshold.  The recursion strictly shrinks the maximal chain length, and the
 resulting name E_{m1}^{a1} ... H_{mk+1}^{ak+1} (H in {C, D}, or a bare E
 terminal) is compared blockwise: equal index prefixes, then either the
 shorter name ends compatibly or the first divergent block decides by (m, a).
+A ``WadgeName`` is validated once, when it is built, so comparing and ranking
+names check nothing again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .automaton import Mbca, MbcaError, memo
@@ -34,15 +36,27 @@ class NameBlock(NamedTuple):
     alpha: OrdinalW2
 
 
+BlockKey = tuple[str, tuple[int, int, int]]  # (letter, (m, alpha.p, alpha.s))
+
+
 @dataclass(frozen=True)
 class WadgeName:
     """Blocks with strictly decreasing m; only the last may be C or D.
 
     A name whose blocks are empty, or whose last letter is E, is bare-E
     terminated (the recursion bottomed out in a loop-free residual).
+    Construction validates the blocks with :func:`check_name`, so every
+    ``WadgeName`` is well formed, and builds ``keys``, the blocks as plain
+    tuples whose order is the (m, alpha) order :func:`compare` uses.
     """
 
     blocks: tuple[NameBlock, ...]
+    keys: tuple[BlockKey, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        check_name(self)
+        keys = tuple((b.letter, (b.m, b.alpha.p, b.alpha.s)) for b in self.blocks)
+        object.__setattr__(self, "keys", keys)
 
     @property
     def terminal_bare_e(self) -> bool:
@@ -55,7 +69,7 @@ class WadgeName:
         return " ".join(parts)
 
 
-_ONE = OrdinalW2(0, 1)  # built once: check_name runs on every compare
+_ONE = OrdinalW2(0, 1)
 
 
 def check_name(name: WadgeName) -> None:
@@ -90,9 +104,7 @@ def parse_name(text: str) -> WadgeName:
             blocks.append(NameBlock(letter, int(m_text), parse_ordinal(alpha_text)))
         except (ValueError, IndexError):
             raise MalformedName(f"bad block {token!r}") from None
-    name = WadgeName(tuple(blocks))
-    check_name(name)
-    return name
+    return WadgeName(tuple(blocks))
 
 
 # -- derivation ----------------------------------------------------------------
@@ -183,44 +195,33 @@ def _name_of(machine: Mbca) -> WadgeName:
         analyzer = analyzer_for(ctx.machine, ctx.thresholds)
         if analyzer.invariants().m >= inv.m:
             raise MbcaError(f"internal error: derivation did not shrink m = {inv.m}")
-    name = WadgeName(tuple(blocks))
-    check_name(name)
-    return name
+    return WadgeName(tuple(blocks))
 
 
 # -- comparison ------------------------------------------------------------------
 
 
-def _leq(a: WadgeName, b: WadgeName) -> bool:
-    """One direction of the blockwise order on names."""
-    ka, kb = len(a.blocks), len(b.blocks)
+def _leq(a: tuple[BlockKey, ...], b: tuple[BlockKey, ...]) -> bool:
+    """One direction of the blockwise order on names, read off their keys."""
+    ka, kb = len(a), len(b)
     if ka == 0:
         return True  # lone E sits below everything
-    common = 0
-    while (
-        common < min(ka, kb)
-        and a.blocks[common].m == b.blocks[common].m
-        and a.blocks[common].alpha == b.blocks[common].alpha
-    ):
+    common, shorter = 0, min(ka, kb)
+    while common < shorter and a[common][1] == b[common][1]:
         common += 1
     # a exhausted within b, letters compatible at a's last position
-    if common == ka and ka <= kb:
-        b_letter = b.blocks[ka - 1].letter
-        if b_letter == "E" or a.blocks[-1].letter == b_letter:
+    if common == ka:
+        b_letter = b[ka - 1][0]
+        if b_letter == "E" or a[-1][0] == b_letter:
             return True
-    # first divergent indexed position decides
-    if common < min(ka, kb):
-        ba, bb = a.blocks[common], b.blocks[common]
-        if ba.m < bb.m or (ba.m == bb.m and ba.alpha < bb.alpha):
-            return True
-    return False
+    # first divergent indexed position decides: (m, p, s) in lexicographic order
+    return common < shorter and a[common][1] < b[common][1]
 
 
 def compare(a: WadgeName, b: WadgeName) -> str:
     """``less``, ``greater``, ``equivalent``, or ``dual``."""
-    check_name(a)
-    check_name(b)
-    forward, backward = _leq(a, b), _leq(b, a)
+    ka, kb = a.keys, b.keys
+    forward, backward = _leq(ka, kb), _leq(kb, ka)
     if forward and backward:
         return "equivalent"
     if forward:
@@ -228,12 +229,11 @@ def compare(a: WadgeName, b: WadgeName) -> str:
     if backward:
         return "greater"
     if (
-        a.blocks
-        and b.blocks
-        and a.blocks[:-1] == b.blocks[:-1]
-        and a.blocks[-1].m == b.blocks[-1].m
-        and a.blocks[-1].alpha == b.blocks[-1].alpha
-        and {a.blocks[-1].letter, b.blocks[-1].letter} == {"C", "D"}
+        ka
+        and kb
+        and ka[:-1] == kb[:-1]
+        and ka[-1][1] == kb[-1][1]
+        and {ka[-1][0], kb[-1][0]} == {"C", "D"}
     ):
         return "dual"
     raise MbcaError(
@@ -281,7 +281,6 @@ def degree_rank(name: WadgeName) -> CnfOrdinal:
     Block (letter, m, omega*p + s) contributes omega^(2m-1)*p + omega^(2m-2)*s;
     m=1 names land below omega^2 and the whole image sits below omega^omega.
     """
-    check_name(name)
     terms: list[tuple[int, int]] = []
     for block in name.blocks:
         if block.alpha.p:

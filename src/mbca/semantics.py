@@ -7,6 +7,9 @@ equal ("periodic") or higher ("ramp") counter; repeats are only looked for at
 boundaries.  A ramp is sound only because blind counters are shift-monotone: a
 segment that was valid from a lower counter replays verbatim from any higher
 one, so the future of the run is the same state sequence shifted upward.
+
+Runs read ``Mbca.step_table``, one row per state and counter level, so each
+letter is a lookup of the state's row and then of the letter.
 """
 
 from __future__ import annotations
@@ -73,11 +76,14 @@ class RunTrace:
 
 def _feed(table, letters, states: list[str], counters: list[int]) -> tuple[str, int] | None:
     """Read ``letters`` on from the last configuration, appending each one
-    reached; ``None`` when a letter blocks."""
+    reached; ``None`` when a letter blocks.
+
+    ``table`` is ``Mbca.step_table``: every state reached has a row at both
+    levels, so each letter costs two dict lookups."""
     zero, pos = table
     state, counter = states[-1], counters[-1]
     for letter in letters:
-        move = (pos if counter else zero).get((state, letter))
+        move = (pos[state] if counter else zero[state]).get(letter)
         if move is None:
             return None
         state, delta = move

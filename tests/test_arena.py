@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from mbca import member, parse_word
+from mbca import MbcaError, member, parse_word
 from mbca.arena import (
     SKIP,
     START,
@@ -63,6 +63,62 @@ def test_long_skip_phase_still_closes(a_all):
     assert record.verdict == "player2wins"
     assert record.b_word is not None
     assert SkipBudgetExhausted is not None
+
+
+def _unmemoized_report(a_machine, b_machine, s2):
+    """``validate_strategy`` as a plain loop: every verdict from a fresh ``member``."""
+    plays, losses = 0, []
+    for s1 in default_suite(a_machine.alphabet, b_machine.alphabet):
+        record = play(a_machine, b_machine, s1, s2)
+        plays += 1
+        if record.b_word is None:
+            lost = True
+        else:
+            lost = member(a_machine, record.a_word) != member(b_machine, record.b_word)
+        assert record.verdict == ("player1wins" if lost else "player2wins")
+        if lost:
+            losses.append(s1.name)
+    return plays, losses
+
+
+def test_tournament_memo_matches_fresh_judging(a1, a_all, a_none, g_omega):
+    c11, c12, d12, e21 = (canonical(spec) for spec in ("C_1^1", "C_1^2", "D_1^2", "E_2^1"))
+    games = [
+        (a1, a1, copycat(a1.alphabet)),
+        (g_omega, g_omega, copycat(g_omega.alphabet)),
+        (a_all, a_none, copycat(a_none.alphabet)),
+        (a_all, a1, constant_word(parse_word("a ; c"), a_all.alphabet)),
+        (a1, a_all, constant_word(parse_word("; a"), a1.alphabet)),
+        (a1, g_omega, constant_word(parse_word("a b ; c"), a1.alphabet)),
+        (g_omega, a1, constant_word(parse_word("a a b ; c"), g_omega.alphabet)),
+        (c11, d12, constant_word(parse_word("n1 ; j1"), c11.alphabet)),
+        (c12, d12, copycat(d12.alphabet)),
+        (e21, e21, copycat(e21.alphabet)),
+    ]
+    lossy = 0
+    for a_machine, b_machine, s2 in games:
+        report = validate_strategy(a_machine, b_machine, s2)
+        assert (report.plays, report.losses) == _unmemoized_report(a_machine, b_machine, s2)
+        lossy += bool(report.losses)
+    assert lossy >= 2  # the comparison covers losses, not only clean sheets
+
+
+def test_play_record_does_not_depend_on_the_memo(a1, a_all):
+    verdicts = {}
+    s2 = constant_word(parse_word("a ; c"), a_all.alphabet)
+    for s1 in default_suite(a_all.alphabet, a1.alphabet)[:60]:
+        assert play(a_all, a1, s1, s2, verdicts=verdicts) == play(a_all, a1, s1, s2)
+    for (machine, word), verdict in verdicts.items():
+        assert verdict == member(machine, word)
+    assert {machine for machine, _ in verdicts} == {a_all, a1}
+
+
+def test_missing_rule_error_is_unchanged(a1):
+    partial = Strategy("partial", 2, "idle", {("idle", "a"): ("a", "idle", 0)})
+    with pytest.raises(MbcaError, match=r"strategy 'partial' has no rule for \(idle, b\)"):
+        play(a1, a1, table_player1({"start": "b"}), partial)
+    with pytest.raises(MbcaError, match=r"strategy 'p1' has no rule for \(s, a\)"):
+        play(a1, a1, table_player1({"start": "a"}), copycat(a1.alphabet))
 
 
 def test_witness_all_below_a1(a_all, a1):

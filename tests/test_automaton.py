@@ -98,6 +98,17 @@ def test_blind_twins_by_table_scan(a1, a_pump, g_omega):
                     assert machine.entry(q, a, "I") == z
 
 
+def test_entry_and_step_are_total_outside_the_table(a1):
+    # a1 has no move on b from q0 at zero level, and knows no state x or letter z
+    assert a1.entry("q0", "b", "Z") is None
+    for state, letter in (("x", "a"), ("q0", "z"), ("x", "z")):
+        for level in ("Z", "I"):
+            assert a1.entry(state, letter, level) is None
+        assert step(a1, Configuration(state, 0), letter) is None
+        assert step(a1, Configuration(state, 2), letter) is None
+    assert a1.entry("q0", "a", "Z") == ("q0", 1)
+
+
 def test_step_never_goes_negative(a1):
     for q in a1.states:
         for c in range(3):

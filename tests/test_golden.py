@@ -10,9 +10,11 @@ in the chain gadgets.  The section subcommands (``loops``, ``chains``,
 document.  ``WITNESS_DIGEST`` pins the letters of every admissible loop's
 witness word on the same machines, and ``PATH_DIGEST`` the ``path_to``
 letters of the initial reach analysis of ``E_2^w*2``: the highest finite
-value and the first tail values of each state.  The output does not depend
-on ``PYTHONHASHSEED``.  When an output change is intended, regenerate the
-tables with
+value and the first tail values of each state.  ``TOURNAMENT_DIGEST`` pins
+the plays and losses of a copycat defender in the default suite, for every
+ordered pair of those machines over the same alphabet (56 tournaments).  The
+output does not depend on ``PYTHONHASHSEED``.  When an output change is
+intended, regenerate the tables with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -30,6 +32,7 @@ from pathlib import Path
 import pytest
 
 from mbca import Configuration, emit_machine, loops, parse_machine, witness_word
+from mbca.arena import copycat, validate_strategy
 from mbca.loops import admissible
 from mbca.reachability import analysis
 from mbca.cli import main
@@ -93,6 +96,7 @@ DEEP_DIGESTS = {
 
 WITNESS_DIGEST = "4d2c717ee9107fdd044aea14581624541eb05c657753620f5f0b49e858a3cde9"
 PATH_DIGEST = "49937e4d79ab8b06f3527c4eb7b19185e10a1254ce6fd2be8585c3a927b40407"
+TOURNAMENT_DIGEST = "e9237b7217fd76718b345266a0ba1d40b4b6a8a16fd79b9c03e563324fdc1af0"
 PATH_MACHINE = "E_2^w*2 E"
 TAIL_VALUES = 2
 
@@ -167,12 +171,27 @@ def _path_digest() -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
+def _tournament_digest() -> str:
+    machines = [(label, parse_machine(_machine_text(label))) for label in _labels()]
+    lines = []
+    for left, a in machines:
+        for right, b in machines:
+            if a.alphabet == b.alphabet:
+                report = validate_strategy(a, b, copycat(a.alphabet))
+                lines.append(repr((left, right, report.plays, report.losses)))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
 def test_witness_words_are_golden():
     assert _witness_digest() == WITNESS_DIGEST
 
 
 def test_path_to_letters_are_golden():
     assert _path_digest() == PATH_DIGEST
+
+
+def test_tournament_losses_are_golden():
+    assert _tournament_digest() == TOURNAMENT_DIGEST
 
 
 if __name__ == "__main__":
@@ -188,3 +207,4 @@ if __name__ == "__main__":
             print("}")
     print(f'WITNESS_DIGEST = "{_witness_digest()}"')
     print(f'PATH_DIGEST = "{_path_digest()}"')
+    print(f'TOURNAMENT_DIGEST = "{_tournament_digest()}"')

@@ -207,9 +207,7 @@ def _random_name(rng: random.Random) -> WadgeName:
         if m == 1 or rng.random() < 0.3:
             break
         m = rng.randrange(1, m)
-    name = WadgeName(tuple(blocks))
-    check_name(name)
-    return name
+    return WadgeName(tuple(blocks))
 
 
 def test_compare_total_preorder_on_generated_names():
@@ -223,6 +221,83 @@ def test_compare_total_preorder_on_generated_names():
         ab, bc = compare(a, b), compare(b, c)
         if ab in ("less", "equivalent") and bc in ("less", "equivalent"):
             assert compare(a, c) in ("less", "equivalent"), (a.render(), b.render(), c.render())
+
+
+def _reference_leq(a: WadgeName, b: WadgeName) -> bool:
+    """The blockwise order as first written, on ``NameBlock`` fields."""
+    ka, kb = len(a.blocks), len(b.blocks)
+    if ka == 0:
+        return True
+    common = 0
+    while (
+        common < min(ka, kb)
+        and a.blocks[common].m == b.blocks[common].m
+        and a.blocks[common].alpha == b.blocks[common].alpha
+    ):
+        common += 1
+    if common == ka and ka <= kb:
+        b_letter = b.blocks[ka - 1].letter
+        if b_letter == "E" or a.blocks[-1].letter == b_letter:
+            return True
+    if common < min(ka, kb):
+        ba, bb = a.blocks[common], b.blocks[common]
+        if ba.m < bb.m or (ba.m == bb.m and ba.alpha < bb.alpha):
+            return True
+    return False
+
+
+def _reference_compare(a: WadgeName, b: WadgeName) -> str:
+    forward, backward = _reference_leq(a, b), _reference_leq(b, a)
+    if forward and backward:
+        return "equivalent"
+    if forward:
+        return "less"
+    if backward:
+        return "greater"
+    if (
+        a.blocks
+        and b.blocks
+        and a.blocks[:-1] == b.blocks[:-1]
+        and a.blocks[-1].m == b.blocks[-1].m
+        and a.blocks[-1].alpha == b.blocks[-1].alpha
+        and {a.blocks[-1].letter, b.blocks[-1].letter} == {"C", "D"}
+    ):
+        return "dual"
+    return "incomparable"
+
+
+def test_compare_matches_the_block_reference():
+    rng = random.Random(73)
+    names = [_random_name(rng) for _ in range(400)] + [parse_name("E")]
+    probe = random.Random(79)
+    seen = set()
+    pairs = [(a, b) for a in names[:40] for b in names[:40]]
+    pairs += [(probe.choice(names), probe.choice(names)) for _ in range(6000)]
+    for a, b in pairs:
+        want = _reference_compare(a, b)
+        if want == "incomparable":
+            with pytest.raises(MbcaError, match="incomparable"):
+                compare(a, b)
+        else:
+            assert compare(a, b) == want, (a.render(), b.render())
+        seen.add(want)
+    assert seen >= {"less", "greater", "equivalent", "dual"}
+
+
+def test_names_are_checked_when_built():
+    one = OrdinalW2(0, 1)
+    for blocks in [
+        (NameBlock("E", 1, one), NameBlock("C", 2, one)),
+        (NameBlock("C", 1, OrdinalW2(0, 0)),),
+        (NameBlock("C", 2, one), NameBlock("D", 1, one)),
+        (NameBlock("X", 1, one),),
+        (NameBlock("D", 0, one),),
+    ]:
+        with pytest.raises(MalformedName):
+            WadgeName(blocks)
+    name = WadgeName((NameBlock("E", 2, OrdinalW2(1, 0)), NameBlock("D", 1, OrdinalW2(0, 3))))
+    assert name.keys == (("E", (2, 1, 0)), ("D", (1, 0, 3)))
+    assert name == parse_name("E_2^w*1 D_1^3")
 
 
 def test_degree_rank_examples():

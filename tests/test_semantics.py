@@ -167,7 +167,8 @@ def test_segment_replay_that_blocks_is_an_internal_error(monkeypatch):
     machine = validate(
         "pump", ["a"], ["q"], "q", [("q", "a", "Z", "q", 1), ("q", "a", "I", "q", 1)], [["q"]]
     )
-    monkeypatch.setitem(machine.__dict__, "step_table", (machine.step_table[0], {}))
+    no_i_moves = {q: {} for q in machine.states}
+    monkeypatch.setitem(machine.__dict__, "step_table", (machine.step_table[0], no_i_moves))
     with pytest.raises(MbcaError, match="segment replay blocked"):
         run(machine, parse_word("; a"))
 
