@@ -88,16 +88,20 @@ def constant_word(word: UPWord, opponent_alphabet, name: str = "constant") -> St
 
 def table_player1(emissions: dict[str, str], name: str = "p1") -> Strategy:
     """One-state player-1 table: input token -> emitted letter."""
-    rules = {("s", token): (letter, "s", 0) for token, letter in emissions.items()}
-    return Strategy(name, 1, "s", rules)
+    keys, moves = _table_parts(emissions, emissions.values())
+    return Strategy(name, 1, "s", dict(zip(keys, moves)))
+
+
+def _table_parts(tokens, letters) -> tuple[list[tuple[str, str]], list[tuple[str, str, int]]]:
+    """The rule format of :func:`table_player1`, whose one state is ``s``: the
+    key that reads each token, and the move that emits each letter."""
+    return [("s", token) for token in tokens], [(letter, "s", 0) for letter in letters]
 
 
 Verdicts = dict[tuple[Mbca, UPWord], bool]  # (machine, word) -> member(machine, word)
 
 
-def _judge(machine: Mbca, word: UPWord, verdicts: Verdicts | None) -> bool:
-    if verdicts is None:
-        return member(machine, word)
+def _judge(machine: Mbca, word: UPWord, verdicts: Verdicts) -> bool:
     key = (machine, word)
     verdict = verdicts.get(key)
     if verdict is None:
@@ -117,10 +121,11 @@ def play(
     """Run the alternation until both emission streams close into UP words.
 
     ``verdicts`` memoizes membership by (machine, word) across plays, so a
-    word met again is judged once; ``None`` judges every word afresh.  The
-    record is the same either way."""
+    word met again is judged once; ``None`` starts a memo for this play
+    alone.  The record is the same either way."""
     if s1.role != 1 or s2.role != 2:
         raise MbcaError("play needs a role-1 and a role-2 strategy, in that order")
+    verdicts = {} if verdicts is None else verdicts
     rules1, rules2 = s1.rules, s2.rules
     a_alphabet, b_alphabet = a_machine.alphabet, b_machine.alphabet
     skip_budget = None  # read only after a skip, so counted at the first one
@@ -199,9 +204,8 @@ def default_suite(a_alphabet, b_alphabet, limit: int = 512) -> list[Strategy]:
     tokens = [START, SKIP] + sorted(b_alphabet)
     letters = sorted(a_alphabet)
     total = len(letters) ** len(tokens)
-    # table_player1's rules, each key and each move built once for the whole suite
-    keys = [("s", token) for token in tokens]
-    moves = [(letter, "s", 0) for letter in letters]
+    # each rule key and each move is built once and shared by the whole suite
+    keys, moves = _table_parts(tokens, letters)
 
     def build(index: int) -> Strategy:
         rules = {}

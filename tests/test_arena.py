@@ -191,6 +191,14 @@ def test_reverse_direction_loses(a_all):
     assert losses > 0
 
 
+def test_table_player1_rule_format():
+    table = table_player1({"start": "a", "skip": "b", "a": "a"}, name="t")
+    assert table == Strategy(
+        "t", 1, "s",
+        {("s", "start"): ("a", "s", 0), ("s", "skip"): ("b", "s", 0), ("s", "a"): ("a", "s", 0)},
+    )
+
+
 def test_strategy_format_round_trip():
     witness = constant_word(parse_word("a b ; c"), ["x", "y"], name="fixed")
     text = emit_strategy(witness)
