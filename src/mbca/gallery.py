@@ -27,20 +27,22 @@ every Z entry at I level.  Let k be the number of states.
    repeats, some simple cycle C gains.  C has at most k steps and is a pump:
    iterated from a counter above k it never blocks.  Its states form an
    essential set, inside some site S.
-3. S is not blocked by ``_prefix_allowed``.  Suppose some link L of the chain
-   reaches an anchor of S at its operating counter.  Every state of a link
-   lies on one of its loops, whose anchors have tails, so the link sources
-   can be taken higher, and so can everything they reach.  Hence from L one
+3. S is not blocked by ``_prefix_allowed``.  Suppose the ``_seen`` record of
+   a high source of some link L of the chain operates a loop of S: L reaches
+   an anchor of S at its operating counter.  Every state of a link lies on
+   one of its loops, whose anchors have tails, so the link sources can be
+   taken higher, and so can everything they reach.  Hence from L one
    can walk to C above k, pump, follow the run of step 2 to a, walk the loops
    dp and dn of the first link, and follow the link chain back to L.  With
    enough pumps each round gains, so the round iterates forever.  Its Inf
    set contains P and N.  That essential set strictly contains the site P,
    which contradicts P being a maximal essential set.  This covers S = P or
    S = N too.
-4. S passes ``ok_terminal``.  Every anchor of S has a tail, through C, so
+4. S may end the prefix.  Every anchor of S has a tail, through C, so
    ``loop_sources(S)`` start at or above ``high_floor``, which exceeds 2k.
    From there at most k steps inside S reach C, and pumping, then the run of
-   step 2, reaches a with unbounded counters: ``tail_reaches`` holds.
+   step 2, reaches a with unbounded counters: a is among the tail states of
+   the ``_seen`` record of a source of S, as ``_alternating_paths`` requires.
 5. So ``_alternating_paths`` keeps at least the one-site path S, and the
    chain gives a superchain of length w*p + s with s >= 1.  Every limit length
    w*p is thus beaten by w*p + 1, and n is never a limit when m = 1.

@@ -9,6 +9,13 @@ anchors; the counter then meters how often the two sides may alternate.
 Longer transfinite parts chain such units through genuinely re-pumping
 (tail) reachability, and a finite prefix of maximal chains may sit on top,
 giving lengths omega*p + s below omega^2.
+
+Every reachability question of the assembly is set algebra on one cached
+record per source configuration, ``Analyzer._seen``: the maximal-site loops a
+run from the source operates and the states it reaches with a tail.  One
+walker, ``_simple_paths``, yields both the link chains and the alternating
+site paths in depth-first preorder, and one pass over the essential sets keeps
+each set's first longest chain per first sign.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from functools import total_ordering, wraps
 
 from .automaton import LEVEL_POS, Configuration, Mbca, memo
 from .loops import LoopDescriptor, admissible, loops
-from .reachability import ReachSet, analysis, cutoff
+from .reachability import analysis, cutoff
 
 
 @total_ordering
@@ -110,6 +117,16 @@ def _opposite(sign: str) -> str:
     return "negative" if sign == "positive" else "positive"
 
 
+def _simple_paths(heads, successors):
+    """Every simple path from each head in turn, in depth-first preorder: a path
+    comes before its extensions, which follow the order of ``successors(path)``."""
+    stack = [(head,) for head in reversed(heads)]
+    while stack:
+        path = stack.pop()
+        yield path
+        stack.extend(path + (n,) for n in reversed(successors(path)) if n not in path)
+
+
 def _cached(method):
     """Memoize an ``Analyzer`` method per instance and argument: its inputs (the
     machine and the thresholds) are fixed when the instance is made."""
@@ -179,48 +196,27 @@ class Analyzer:
 
     @_cached
     def _chain_data(self):
-        """Per site: maximal chain length and one representative per first sign."""
+        """Per site: maximal chain length and one representative per first sign.
+
+        One pass over the essential sets, smallest first, keeps for each set F
+        the first longest alternating chain ending at F, extending the chain of
+        the first smaller set, in this order, that gives the longest one.  A
+        chain's length and last set fix its first sign, so one chain per set
+        serves every sign.
+        """
         ess = self.essential()
+        ends: dict[frozenset[str], tuple[frozenset[str], ...]] = {}
+        for f in sorted(ess, key=lambda f: (len(f), sorted(f))):
+            longer = (ends[e] + (f,) for e in ends if e < f and ess[e] != ess[f])
+            ends[f] = max(longer, key=len, default=(f,))
         info = {}
         for site in self.sites():
-            inside = sorted(
-                (f for f in ess if f <= site), key=lambda f: (len(f), sorted(f))
-            )
-            lp: dict[frozenset[str], int] = {}
-            first: dict[frozenset[str], set[str]] = {}
-            for f in inside:
-                lp[f], first[f] = 1, {ess[f]}
-                for e in inside:
-                    if e < f and ess[e] != ess[f]:
-                        if lp[e] + 1 > lp[f]:
-                            lp[f], first[f] = lp[e] + 1, set(first[e])
-                        elif lp[e] + 1 == lp[f] and lp[f] > 1:
-                            first[f] |= first[e]
-            length = max(lp[f] for f in inside)
-
-            def rebuild(end, sign):
-                sets = [end]
-                cur, need = end, lp[end]
-                while need > 1:
-                    cur = next(
-                        e
-                        for e in inside
-                        if e < cur
-                        and ess[e] != ess[cur]
-                        and lp[e] == need - 1
-                        and sign in first[e]
-                    )
-                    sets.append(cur)
-                    need -= 1
-                sets.reverse()
-                return Chain(tuple(sets), sign, site)
-
+            inside = [ends[f] for f in ends if f <= site]
+            length = max(map(len, inside))
             reps: dict[str, Chain] = {}
-            for f in inside:
-                if lp[f] == length:
-                    for sign in sorted(first[f]):
-                        if sign not in reps:
-                            reps[sign] = rebuild(f, sign)
+            for sets in inside:
+                if len(sets) == length:
+                    reps.setdefault(ess[sets[0]], Chain(sets, ess[sets[0]], site))
             info[site] = (length, frozenset(reps), reps)
         return info
 
@@ -248,13 +244,27 @@ class Analyzer:
             sign = sorted(reps)[0]
         return reps[sign]
 
-    # -- reachability helpers ----------------------------------------------
+    # -- what a run from a source can do ------------------------------------
 
     @_cached
     def initial_reach(self):
         return analysis(self.machine, self.machine.initial_configuration())
 
     def high_floor(self) -> int:
+        """The counter from which a source stands for "arbitrarily high".
+
+        What a run from a source can do (``_seen``) only grows with its
+        counter: a run shifted up is again a run, since blindness mirrors every
+        Z entry at I level.  With k states, a run from (q, c) follows any simple
+        path of the I-level graph (at most k - 1 steps, each losing at most 1)
+        and ends at c - k + 1 or more, and from c >= 2k it pumps any simple
+        positive cycle on the way forever.  So the floor must exceed 2k, as
+        ``cutoff`` alone does, and every maximal-site loop's operating minimum
+        plus k - 1; past both, a higher source operates no more loops and
+        reaches no more tails.  Not proved: the second bound, as dips and
+        derivation thresholds are capped only heuristically.  The tests check
+        that doubling the floor changes no link, superchain or invariant.
+        """
         k = len(self.machine.states)
         return cutoff(self.machine) + k * (self.machine.max_positive_delta() + 2)
 
@@ -292,68 +302,6 @@ class Analyzer:
             sources.append(Configuration(d.anchor, entry))
         return tuple(sources)
 
-    def _reach_from(self, source: Configuration) -> ReachSet:
-        return analysis(self.machine, source).reach_set
-
-    def site_anchored_reachable(self, sources, site) -> bool:
-        for src in sources:
-            rs = self._reach_from(src)
-            for d in self.descriptors(site):
-                if rs.at(d.anchor).has_value_at_least(self.operating_min(d)):
-                    return True
-        return False
-
-    def tail_reaches(self, sources, target_state: str) -> bool:
-        return any(
-            self._reach_from(src).at(target_state).tail is not None for src in sources
-        )
-
-    # -- omega structure ----------------------------------------------------
-
-    @_cached
-    def links(self) -> tuple[OmegaLink, ...]:
-        out = []
-        signs = {site: self.site_first_signs(site) for site in self.max_sites()}
-        pos_sites = [s for s in self.max_sites() if "positive" in signs[s]]
-        neg_sites = [s for s in self.max_sites() if "negative" in signs[s]]
-        init = self.initial_reach().reach_set
-        high = self.high_floor()
-        for p_site in pos_sites:
-            for n_site in neg_sites:
-                if p_site == n_site:
-                    continue
-                link = None
-                for dp in self.descriptors(p_site):
-                    if dp.level != LEVEL_POS or dp.delta_kind != "equal":
-                        continue
-                    if init.at(dp.anchor).tail is None:
-                        continue
-                    for dn in self.descriptors(n_site):
-                        if dn.level != LEVEL_POS or dn.delta_kind != "equal":
-                            continue
-                        if init.at(dn.anchor).tail is None:
-                            continue
-                        src_p = Configuration(
-                            dp.anchor,
-                            init.at(dp.anchor).least_value_at_least(high),
-                        )
-                        src_n = Configuration(
-                            dn.anchor,
-                            init.at(dn.anchor).least_value_at_least(high),
-                        )
-                        fwd = self._reach_from(src_p).at(dn.anchor)
-                        bwd = self._reach_from(src_n).at(dp.anchor)
-                        if fwd.has_value_at_least(
-                            self.operating_min(dn)
-                        ) and bwd.has_value_at_least(self.operating_min(dp)):
-                            link = OmegaLink(p_site, n_site, dp, dn)
-                            break
-                    if link:
-                        break
-                if link:
-                    out.append(link)
-        return tuple(out)
-
     def _link_high_sources(self, link: OmegaLink) -> list[Configuration]:
         init = self.initial_reach().reach_set
         high = self.high_floor()
@@ -367,57 +315,93 @@ class Analyzer:
         return sources
 
     @_cached
-    def _link_edges(self):
-        links = self.links()
-        edges: dict[int, set[int]] = {i: set() for i in range(len(links))}
-        for i, a in enumerate(links):
-            srcs = self._link_high_sources(a)
-            for j, b in enumerate(links):
-                if i == j:
-                    continue
-                # every state of the next unit, with genuinely re-pumped counters,
-                # from every state of this one
-                if all(
-                    any(
-                        self._reach_from(src).at(t).tail is not None
-                        for src in srcs
-                        if src.state == s
-                    )
-                    for s in sorted(a.states())
-                    for t in sorted(b.states())
-                ):
-                    edges[i].add(j)
-        return edges
+    def _seen(self, source: Configuration) -> tuple[frozenset[int], frozenset[str]]:
+        """The one record every assembly relation reads: the positions, in
+        ``admissible_loops()``, of the maximal-site loops that a run from
+        ``source`` operates (reaches the anchor at or above its operating
+        minimum), and the states it reaches with a tail."""
+        rs = analysis(self.machine, source).reach_set
+        sites = set(self.max_sites())
+        operated = frozenset(
+            i
+            for i, d in enumerate(self.admissible_loops())
+            if d.essential_set in sites
+            and rs.at(d.anchor).has_value_at_least(self.operating_min(d))
+        )
+        return operated, frozenset(q for q, sr in rs.per_state.items() if sr.tail)
+
+    def _operated_sites(self, sources, wanted: set) -> set[frozenset[str]]:
+        """The ``wanted`` sites with a loop that a run from one of ``sources``
+        operates; sources are read in order, only until every one is found."""
+        descs, found = self.admissible_loops(), set()
+        for src in sources:
+            if found >= wanted:
+                break
+            found |= {descs[i].essential_set for i in self._seen(src)[0]}
+        return found & wanted
+
+    # -- omega structure ----------------------------------------------------
+
+    @_cached
+    def links(self) -> tuple[OmegaLink, ...]:
+        """Per pair of a positive and a negative maximal site, the first pair of
+        their I-level equal loops, anchored with a tail, each operated from a
+        high source at the other's anchor."""
+        init = self.initial_reach().reach_set
+        descs = self.admissible_loops()
+        sites = self.max_sites()
+        pos = [f for f in sites if "positive" in self.site_first_signs(f)]
+        neg = [f for f in sites if "negative" in self.site_first_signs(f)]
+        units: dict[frozenset[str], list[int]] = {f: [] for f in pos + neg}
+        for i, d in enumerate(descs):
+            if d.essential_set in units and d.level == LEVEL_POS and d.delta_kind == "equal":
+                if init.at(d.anchor).tail:
+                    units[d.essential_set].append(i)
+
+        def operates(i: int, j: int) -> bool:
+            anchor = descs[i].anchor
+            high = init.at(anchor).least_value_at_least(self.high_floor())
+            return j in self._seen(Configuration(anchor, high))[0]
+
+        out = []
+        for p_site in pos:
+            for n_site in neg:
+                pairs = (
+                    (descs[i], descs[j])
+                    for i in units[p_site]
+                    for j in units[n_site]
+                    if p_site != n_site and operates(i, j) and operates(j, i)
+                )
+                if pair := next(pairs, None):
+                    out.append(OmegaLink(p_site, n_site, *pair))
+        return tuple(out)
 
     def _link_chains(self) -> list[tuple[int, ...]]:
-        """All simple paths over links (indices), longest first."""
+        """All simple paths over links (indices), longest first.  One link leads
+        to another when every state of the second, with genuinely re-pumped
+        counters, is tail-reached from every state of the first."""
         links = self.links()
-        edges = self._link_edges()
-        paths: list[tuple[int, ...]] = []
 
-        def extend(path: tuple[int, ...]):
-            paths.append(path)
-            for j in sorted(edges[path[-1]]):
-                if j not in path:
-                    extend(path + (j,))
+        def leads(i: int, j: int) -> bool:
+            sources = self._link_high_sources(links[i])
+            return (
+                i != j
+                and len(sources) == len(links[i].states())
+                and all(links[j].states() <= self._seen(src)[1] for src in sources)
+            )
 
-        for i in range(len(links)):
-            extend((i,))
-        paths.sort(key=len, reverse=True)
-        return paths
+        edges = [[j for j in range(len(links)) if leads(i, j)] for i in range(len(links))]
+        paths = _simple_paths(range(len(links)), lambda path: edges[path[-1]])
+        return sorted(paths, key=len, reverse=True)
 
     # -- superchain assembly -------------------------------------------------
 
     @_cached
     def _h_edges(self):
         sites = self.max_sites()
-        edges: dict[frozenset, set[frozenset]] = {s: set() for s in sites}
-        for a in sites:
-            sources = self.loop_sources(a)
-            for b in sites:
-                if a != b and self.site_anchored_reachable(sources, b):
-                    edges[a].add(b)
-        return edges
+        return {
+            a: self._operated_sites(self.loop_sources(a), set(sites) - {a}) for a in sites
+        }
 
     def _alternating_paths(self, allowed, require_tail_to=None):
         """Longest alternating simple paths over allowed sites.
@@ -429,81 +413,66 @@ class Analyzer:
         constraint when None).
         """
         edges = self._h_edges()
+        signs = self.site_first_signs
         allowed = list(allowed)
-        best = 0
-        firsts: dict[tuple[frozenset[str], str], tuple] = {}
+        targets = set(require_tail_to or ())
+        ends = {
+            f
+            for f in allowed
+            if require_tail_to is None
+            or any(self._seen(s)[1] & targets for s in self.loop_sources(f))
+        }
 
-        def ok_terminal(site) -> bool:
-            if require_tail_to is None:
-                return True
-            sources = self.loop_sources(site)
-            return any(self.tail_reaches(sources, q) for q in require_tail_to)
+        def after(path):  # a site has one first sign, so the walker keeps sites simple
+            site, sign = path[-1]
+            nsign = _opposite(sign)
+            nexts = sorted(edges[site], key=sorted)
+            return [(f, nsign) for f in nexts if f in allowed and nsign in signs(f)]
 
-        def walk(site, sign, path):
-            nonlocal best, firsts
-            length = len(path)
-            if ok_terminal(site):
-                if length > best:
-                    best, firsts = length, {}
-                if length == best:
+        best, firsts = 0, {}
+        heads = [(f, sign) for f in allowed for sign in sorted(signs(f))]
+        for path in _simple_paths(heads, after):
+            if path[-1][0] in ends:
+                if len(path) > best:
+                    best, firsts = len(path), {}
+                if len(path) == best:
                     firsts.setdefault(path[0], path)
-            for nxt in sorted(edges[site], key=sorted):
-                if nxt in {p for p, _ in path}:
-                    continue
-                if nxt not in allowed:
-                    continue
-                nsign = _opposite(sign)
-                if nsign in self.site_first_signs(nxt):
-                    walk(nxt, nsign, path + ((nxt, nsign),))
-
-        for site in allowed:
-            for sign in sorted(self.site_first_signs(site)):
-                walk(site, sign, ((site, sign),))
         return best, firsts
 
     def _prefix_allowed(self, chain_links: tuple[int, ...]) -> list[frozenset[str]]:
         """Sites usable before the omega part: not reachable back from it."""
         links = self.links()
-        blocked: set[frozenset] = set()
-        for idx in chain_links:
-            link = links[idx]
-            srcs = self._link_high_sources(link)
-            for site in self.max_sites():
-                if site in blocked:
-                    continue
-                if self.site_anchored_reachable(srcs, site):
-                    blocked.add(site)
+        sources = (src for i in chain_links for src in self._link_high_sources(links[i]))
+        blocked = self._operated_sites(sources, set(self.max_sites()))
         return [s for s in self.max_sites() if s not in blocked]
 
     def _loop_entries(self, link: OmegaLink) -> list[LoopDescriptor]:
         """Admissible loops, in order, from which the first unit is re-pumpable."""
-        anchors = (link.pos_loop.anchor, link.neg_loop.anchor)
+        anchors = {link.pos_loop.anchor, link.neg_loop.anchor}
         out = []
         for d in self.admissible_loops():
-            sources = [
-                s for s in self.loop_sources(d.essential_set) if s.state == d.anchor
-            ]
-            if any(self.tail_reaches(sources, q) for q in anchors):
+            sources = [s for s in self.loop_sources(d.essential_set) if s.state == d.anchor]
+            if any(self._seen(s)[1] & anchors for s in sources):
                 out.append(d)
         return out
 
     @_cached
     def _superchain_summary(self):
-        """Maximal (p, s) length, the entry structures achieving it, and one
+        """Maximal (p, s) length, the entry loops achieving it per sign, and one
         superchain of that length per achieved sign.
 
-        Entries are ("site", F) for prefixed superchains (the first chain's
-        site) and ("loop", descriptor) for bare omega parts; the derivation
+        A prefixed superchain is entered through every loop of its first
+        chain's site, a bare omega part through its anchor loop; the derivation
         needs every one of them.  The superchain kept for a sign is the first
         maximal one the pass meets.
         """
-        found: list[tuple[tuple, Superchain]] = []  # (entry, superchain) in pass order
+        found: list[tuple[tuple[LoopDescriptor, ...], Superchain]] = []  # in pass order
 
         def prefixed(p, omega, s, firsts):
             for (site, sign), path in firsts.items():
                 finite = tuple(self.site_chain(f, fs) for f, fs in path)
                 sc = Superchain(OrdinalW2(p, s), finite, omega, sign, None)
-                found.append((("site", site), sc))
+                found.append((self.descriptors(site), sc))
 
         if self.max_sites():
             prefixed(0, (), *self._alternating_paths(self.max_sites()))
@@ -515,18 +484,18 @@ class Analyzer:
             allowed = self._prefix_allowed(chain)
             prefixed(p, omega, *self._alternating_paths(allowed, require_tail_to=anchors))
             for d in self._loop_entries(omega[0]):
-                found.append((("loop", d), Superchain(OrdinalW2(p, 0), (), omega, d.sign, d)))
+                found.append(((d,), Superchain(OrdinalW2(p, 0), (), omega, d.sign, d)))
         top = max((sc.length for _, sc in found), default=OrdinalW2(0, 0))
-        entries: dict[str, set] = {"positive": set(), "negative": set()}
+        entries: dict[str, set[LoopDescriptor]] = {"positive": set(), "negative": set()}
         kept: dict[str, Superchain] = {}
         for entry, sc in found:
             if sc.length == top:
-                entries[sc.sign].add(entry)
+                entries[sc.sign].update(entry)
                 kept.setdefault(sc.sign, sc)
         return top, entries, kept
 
-    def superchain_entry_options(self) -> dict[str, set]:
-        """Entry structures of every maximal superchain, keyed by sign."""
+    def superchain_entry_options(self) -> dict[str, set[LoopDescriptor]]:
+        """Per sign, the entry loops of every maximal superchain."""
         return self._superchain_summary()[1]
 
     def n_value(self) -> OrdinalW2:

@@ -120,15 +120,10 @@ class DerivationContext:
 def _superchain_entries(analyzer: Analyzer):
     """Per sign, the (state, floor) options whose reachability means the sign's
     maximal superchains stay reachable."""
-    entries: dict[str, set[tuple[str, int]]] = {"positive": set(), "negative": set()}
-    for sign, options in analyzer.superchain_entry_options().items():
-        for kind, payload in options:
-            if kind == "site":
-                for d in analyzer.descriptors(payload):
-                    entries[sign].add((d.anchor, analyzer.operating_min(d)))
-            else:
-                entries[sign].add((payload.anchor, analyzer.operating_min(payload)))
-    return entries
+    return {
+        sign: {(d.anchor, analyzer.operating_min(d)) for d in loops}
+        for sign, loops in analyzer.superchain_entry_options().items()
+    }
 
 
 def derive(machine: Mbca, analyzer: Analyzer | None = None) -> DerivationContext:

@@ -1,10 +1,24 @@
 import random
+from pathlib import Path
 
-from mbca import OrdinalW2, chains, invariants, parse_ordinal, superchains, validate
-from mbca.hierarchy import Analyzer
-from mbca.loops import essential_sets
+from mbca import (
+    OrdinalW2,
+    chains,
+    invariants,
+    parse_machine,
+    parse_ordinal,
+    superchains,
+    validate,
+)
+from mbca.automaton import LEVEL_POS, Configuration
+from mbca.gallery import canonical, gallery_box
+from mbca.hierarchy import Analyzer, Chain, OmegaLink, _cached, _opposite
+from mbca.loops import LoopDescriptor, essential_sets
+from mbca.reachability import ReachSet, analysis
 from mbca.wagner import wagner_invariants
-from conftest import random_counter_free
+from conftest import random_counter_free, random_machine
+
+MACHINES = Path(__file__).resolve().parent.parent / "machines"
 
 
 def test_ordinal_order_and_rendering():
@@ -116,3 +130,278 @@ def test_bottom_class_for_loop_free():
     assert (inv.m, inv.s) == (0, 0)
     assert inv.coarse_class == "E"
     assert superchains(machine) == ()
+
+
+class ReferenceAnalyzer(Analyzer):
+    """The superchain assembly before it read one record per source: a reach
+    set per query, nested search closures, and a rebuild pass for chains.
+    Kept verbatim as the reference for the relations of ``Analyzer``."""
+
+    @_cached
+    def _chain_data(self):
+        """Per site: maximal chain length and one representative per first sign."""
+        ess = self.essential()
+        info = {}
+        for site in self.sites():
+            inside = sorted(
+                (f for f in ess if f <= site), key=lambda f: (len(f), sorted(f))
+            )
+            lp: dict[frozenset[str], int] = {}
+            first: dict[frozenset[str], set[str]] = {}
+            for f in inside:
+                lp[f], first[f] = 1, {ess[f]}
+                for e in inside:
+                    if e < f and ess[e] != ess[f]:
+                        if lp[e] + 1 > lp[f]:
+                            lp[f], first[f] = lp[e] + 1, set(first[e])
+                        elif lp[e] + 1 == lp[f] and lp[f] > 1:
+                            first[f] |= first[e]
+            length = max(lp[f] for f in inside)
+
+            def rebuild(end, sign):
+                sets = [end]
+                cur, need = end, lp[end]
+                while need > 1:
+                    cur = next(
+                        e
+                        for e in inside
+                        if e < cur
+                        and ess[e] != ess[cur]
+                        and lp[e] == need - 1
+                        and sign in first[e]
+                    )
+                    sets.append(cur)
+                    need -= 1
+                sets.reverse()
+                return Chain(tuple(sets), sign, site)
+
+            reps: dict[str, Chain] = {}
+            for f in inside:
+                if lp[f] == length:
+                    for sign in sorted(first[f]):
+                        if sign not in reps:
+                            reps[sign] = rebuild(f, sign)
+            info[site] = (length, frozenset(reps), reps)
+        return info
+
+    def _reach_from(self, source: Configuration) -> ReachSet:
+        return analysis(self.machine, source).reach_set
+
+    def site_anchored_reachable(self, sources, site) -> bool:
+        for src in sources:
+            rs = self._reach_from(src)
+            for d in self.descriptors(site):
+                if rs.at(d.anchor).has_value_at_least(self.operating_min(d)):
+                    return True
+        return False
+
+    def tail_reaches(self, sources, target_state: str) -> bool:
+        return any(
+            self._reach_from(src).at(target_state).tail is not None for src in sources
+        )
+
+    @_cached
+    def links(self) -> tuple[OmegaLink, ...]:
+        out = []
+        signs = {site: self.site_first_signs(site) for site in self.max_sites()}
+        pos_sites = [s for s in self.max_sites() if "positive" in signs[s]]
+        neg_sites = [s for s in self.max_sites() if "negative" in signs[s]]
+        init = self.initial_reach().reach_set
+        high = self.high_floor()
+        for p_site in pos_sites:
+            for n_site in neg_sites:
+                if p_site == n_site:
+                    continue
+                link = None
+                for dp in self.descriptors(p_site):
+                    if dp.level != LEVEL_POS or dp.delta_kind != "equal":
+                        continue
+                    if init.at(dp.anchor).tail is None:
+                        continue
+                    for dn in self.descriptors(n_site):
+                        if dn.level != LEVEL_POS or dn.delta_kind != "equal":
+                            continue
+                        if init.at(dn.anchor).tail is None:
+                            continue
+                        src_p = Configuration(
+                            dp.anchor,
+                            init.at(dp.anchor).least_value_at_least(high),
+                        )
+                        src_n = Configuration(
+                            dn.anchor,
+                            init.at(dn.anchor).least_value_at_least(high),
+                        )
+                        fwd = self._reach_from(src_p).at(dn.anchor)
+                        bwd = self._reach_from(src_n).at(dp.anchor)
+                        if fwd.has_value_at_least(
+                            self.operating_min(dn)
+                        ) and bwd.has_value_at_least(self.operating_min(dp)):
+                            link = OmegaLink(p_site, n_site, dp, dn)
+                            break
+                    if link:
+                        break
+                if link:
+                    out.append(link)
+        return tuple(out)
+
+    @_cached
+    def _link_edges(self):
+        links = self.links()
+        edges: dict[int, set[int]] = {i: set() for i in range(len(links))}
+        for i, a in enumerate(links):
+            srcs = self._link_high_sources(a)
+            for j, b in enumerate(links):
+                if i == j:
+                    continue
+                # every state of the next unit, with genuinely re-pumped counters,
+                # from every state of this one
+                if all(
+                    any(
+                        self._reach_from(src).at(t).tail is not None
+                        for src in srcs
+                        if src.state == s
+                    )
+                    for s in sorted(a.states())
+                    for t in sorted(b.states())
+                ):
+                    edges[i].add(j)
+        return edges
+
+    def _link_chains(self) -> list[tuple[int, ...]]:
+        """All simple paths over links (indices), longest first."""
+        links = self.links()
+        edges = self._link_edges()
+        paths: list[tuple[int, ...]] = []
+
+        def extend(path: tuple[int, ...]):
+            paths.append(path)
+            for j in sorted(edges[path[-1]]):
+                if j not in path:
+                    extend(path + (j,))
+
+        for i in range(len(links)):
+            extend((i,))
+        paths.sort(key=len, reverse=True)
+        return paths
+
+    @_cached
+    def _h_edges(self):
+        sites = self.max_sites()
+        edges: dict[frozenset, set[frozenset]] = {s: set() for s in sites}
+        for a in sites:
+            sources = self.loop_sources(a)
+            for b in sites:
+                if a != b and self.site_anchored_reachable(sources, b):
+                    edges[a].add(b)
+        return edges
+
+    def _alternating_paths(self, allowed, require_tail_to=None):
+        """Longest alternating simple paths over allowed sites.
+
+        Returns (best_length, firsts): firsts maps each (first_site,
+        first_sign) head of a maximal path to the first maximal path with
+        that head, in search order.  A path counts only if its last element
+        tail-reaches one of the ``require_tail_to`` anchor states (no
+        constraint when None).
+        """
+        edges = self._h_edges()
+        allowed = list(allowed)
+        best = 0
+        firsts: dict[tuple[frozenset[str], str], tuple] = {}
+
+        def ok_terminal(site) -> bool:
+            if require_tail_to is None:
+                return True
+            sources = self.loop_sources(site)
+            return any(self.tail_reaches(sources, q) for q in require_tail_to)
+
+        def walk(site, sign, path):
+            nonlocal best, firsts
+            length = len(path)
+            if ok_terminal(site):
+                if length > best:
+                    best, firsts = length, {}
+                if length == best:
+                    firsts.setdefault(path[0], path)
+            for nxt in sorted(edges[site], key=sorted):
+                if nxt in {p for p, _ in path}:
+                    continue
+                if nxt not in allowed:
+                    continue
+                nsign = _opposite(sign)
+                if nsign in self.site_first_signs(nxt):
+                    walk(nxt, nsign, path + ((nxt, nsign),))
+
+        for site in allowed:
+            for sign in sorted(self.site_first_signs(site)):
+                walk(site, sign, ((site, sign),))
+        return best, firsts
+
+    def _prefix_allowed(self, chain_links: tuple[int, ...]) -> list[frozenset[str]]:
+        """Sites usable before the omega part: not reachable back from it."""
+        links = self.links()
+        blocked: set[frozenset] = set()
+        for idx in chain_links:
+            link = links[idx]
+            srcs = self._link_high_sources(link)
+            for site in self.max_sites():
+                if site in blocked:
+                    continue
+                if self.site_anchored_reachable(srcs, site):
+                    blocked.add(site)
+        return [s for s in self.max_sites() if s not in blocked]
+
+    def _loop_entries(self, link: OmegaLink) -> list[LoopDescriptor]:
+        """Admissible loops, in order, from which the first unit is re-pumpable."""
+        anchors = (link.pos_loop.anchor, link.neg_loop.anchor)
+        out = []
+        for d in self.admissible_loops():
+            sources = [
+                s for s in self.loop_sources(d.essential_set) if s.state == d.anchor
+            ]
+            if any(self.tail_reaches(sources, q) for q in anchors):
+                out.append(d)
+        return out
+
+
+def _reference_machines():
+    """The gallery box, ``machines/``, the deep specs and C/D_1^w*p+s with
+    p, s <= 3 carry the link code; seeded random machines of 3-7 states add
+    breadth, with the three whose bounded re-entries the assembly misses."""
+    specs = [spec.render() for spec in gallery_box()]
+    specs += ["C_3^w*1", "D_3^w*1+1", "C_3^w*2", "C_4^w*1", "E_4^w*1+2 E", "E_4^w*2 E"]
+    specs += [f"{c}_1^w*{p}+{s}" for c in "CD" for p in (1, 2, 3) for s in (1, 2, 3)]
+    machines = [(spec, canonical(spec)) for spec in specs]
+    machines += [(p.stem, parse_machine(p.read_text())) for p in sorted(MACHINES.glob("*.mbca"))]
+    seeds = [(seed, n) for n in range(3, 8) for seed in range(30)]
+    seeds += [(2084, 5), (353, 7), (2876, 5)]
+    machines += [(seed, random_machine(random.Random(seed[0]), seed[1])) for seed in seeds]
+    return machines
+
+
+def _relations(analyzer: Analyzer):
+    return (
+        analyzer.chains(),
+        analyzer.links(),
+        analyzer.superchains(),
+        analyzer.superchain_entry_options(),
+        analyzer.invariants(),
+    )
+
+
+def test_assembly_matches_the_reference():
+    for label, machine in _reference_machines():
+        assert _relations(Analyzer(machine)) == _relations(ReferenceAnalyzer(machine)), label
+
+
+class DoubledFloorAnalyzer(Analyzer):
+    def high_floor(self) -> int:
+        return 2 * super().high_floor() + 1
+
+
+def test_a_higher_floor_changes_nothing():
+    """``high_floor`` stands for "arbitrarily high": raising it must not move
+    an invariant, a superchain, an entry loop or a link."""
+    for label, machine in _reference_machines():
+        want, got = Analyzer(machine), DoubledFloorAnalyzer(machine)
+        assert _relations(got)[1:] == _relations(want)[1:], label

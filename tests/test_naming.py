@@ -97,6 +97,18 @@ def test_naming_succeeds_on_the_known_failures(seed, n_states):
     wadge_name(random_machine(random.Random(seed), n_states))
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 1: a site re-entered at a lower counter is counted once; "
+    "mbca prints D_1^3",
+)
+def test_bounded_re_entries_are_counted():
+    """The configuration unfolding of this bounded machine (8 configurations)
+    alternates {q0,q2}-, {q3}+, {q4}-, {q3}+, {q4}-: length 5, not 3."""
+    assert wadge_name(random_machine(random.Random(2876), 5)).render() == "D_1^5"
+
+
 def test_derive_threshold_three():
     """The negative wing sits behind three forced pops: n_q = 3 at the branch."""
     machine = validate(
