@@ -271,18 +271,18 @@ class Analyzer:
     def operating_min(self, d: LoopDescriptor) -> int:
         return max(d.min_anchor_counter, self.threshold(d.anchor))
 
-    def _cycle_net(self, d: LoopDescriptor) -> int:
-        # only plus descriptors come here; they are I-level, so every letter has an I-entry
-        net, state = 0, d.anchor
-        for letter in d.cycle:
-            state, delta = self.machine.entry(state, letter, LEVEL_POS)
-            net += delta
-        return net
-
     @_cached
     def loop_sources(self, essential_set: frozenset[str]) -> tuple[Configuration, ...]:
         """Configurations from which everything reachable while iterating some
-        admissible loop of the set is reachable (highest known entry points)."""
+        admissible loop of the set is reachable (highest known entry points).
+
+        An anchor reached with a tail is entered at ``high_floor`` or above;
+        otherwise at its highest reachable counter.  A ``plus`` loop's anchor
+        always has the tail: the loop is admissible, so its anchor is reached
+        at or above its operating minimum, which is at least dip + 1, and
+        iterating the loop from there reaches the anchor at unboundedly many
+        counters.
+        """
         sources = []
         high = self.high_floor()
         for d in self.descriptors(essential_set):
@@ -293,10 +293,6 @@ class Analyzer:
                 continue
             if sr.tail is not None:
                 entry = sr.least_value_at_least(max(opmin, high))
-            elif d.delta_kind == "plus":
-                net = self._cycle_net(d)
-                if net > 0 and entry < high:
-                    entry += ((high - entry + net - 1) // net) * net
             else:
                 entry = sr.max_finite()  # at least opmin, since entry was found
             sources.append(Configuration(d.anchor, entry))

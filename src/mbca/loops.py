@@ -11,16 +11,16 @@ counter, so their minimal anchor counter is zero.
 
 Candidate sets F are the induced strongly connected subsets of each SCC, read
 off the machine's compiled form ``Mbca.moves`` (SCCs by ``automaton.sccs``).
-Whether an I-level loop exists is decided once per set, and one counter
-abstraction then refutes each Z-level anchor and each I-level (anchor, dip)
-before any search.  The product search ``_search`` over (state in F) x
-(visited subset of F) x (bounded counter) runs only where a loop may exist, to
-find the minimal dip and the witness letters.
+At the I-level, cycle arithmetic on F's I-edges decides once per set which
+kinds of loop exist and gives every anchor's dip; no product search runs.  At
+the Z-level, one counter abstraction, ``_may_close``, refutes each anchor
+before the product search ``_search`` over (state in F) x (visited subset of
+F) x (bounded counter) looks for a witness.
 
-I-level existence is cycle arithmetic on F's I-edges, the one-dimensional case
-of Kosaraju & Sullivan (STOC 1988).  F is strongly connected, so a closed walk
-W through the anchor covers F, and any cycle of F can be spliced into W where
-W meets it.  So the answer is the same for every anchor of F.
+I-level existence is the one-dimensional case of Kosaraju & Sullivan (STOC
+1988).  F is strongly connected, so a closed walk W through the anchor covers
+F, and any cycle of F can be spliced into W where W meets it.  So the answer
+is the same for every anchor of F.
 
 - ``plus`` exists iff F has a positive cycle: splice in enough copies of it.
 - ``equal`` exists iff F has cycles of both signs, or the tight edges (reduced
@@ -32,24 +32,57 @@ W meets it.  So the answer is the same for every anchor of F.
   exactly the tight ones under the longest-path (or shortest-path)
   potentials.  Conversely, a closed walk on tight edges has weight 0.
 
-Both levels refute walks by one counter abstraction, ``_may_close``.  Values
-floor..K are exact and one class T stands for every value above K, with
-K = d+ + 1, where d+ is the machine's largest positive delta.  Moves follow the
-concrete move function, which depends only on whether the counter is zero; a
-step landing above K lands on T, one landing below floor is dropped, and a -1
-step from T lands on K or stays.  I-level deltas are >= -1 (``automaton.check``
-enforces it), so a step from a value above K stays at K or above, and every
-concrete step that keeps the counter >= floor maps to an abstract one, for every
-K >= 0.  The floor is 0 at the Z-level, where counters are absolute, and -dip
-at the I-level, where a search at that dip keeps relative counters >= -dip.
-A concrete covering walk from (anchor, 0) to its end, (anchor, 0) for ``equal``
-or (anchor, > 0) for ``plus``, therefore maps to an abstract walk whose nodes
-are all reachable from (anchor, 0) and all reach an abstract end.  No visited
-mask is needed: if the states of that forward and backward set miss a state of
-F, no concrete walk covers F, and the search is skipped; otherwise ``_search``
-decides.  Refusal is monotone in the dip, since a lower floor only removes
-abstract walks, so refused dips are exactly those below the first unrefused
-one, which is at most the minimal dip.
+I-level dips come from one credit fixpoint per set, a one-player energy
+fixpoint (Bouyer, Fahrenberg, Larsen, Markey & Srba, FORMATS 2008).  Let up
+and down be the largest rise and fall of one step on F's arcs (q, t, d), and
+need[q] the least counter from which a walk at q that stays >= 1 climbs
+forever, when F has a positive cycle.  ``_credit`` starts from need = T at
+every state and relaxes need[q] = min(need[q], max(1, need[t] - d)) until
+nothing changes; that gives, per state, the least counter from which a walk
+staying >= 1 reaches counter T.  With T = (2|F| - 1) * down + H and
+H = |F| * up + 1, this is need[q]:
+- the credit bound: need[q] <= (2|F| - 1) * down + 1 < T, because from q a
+  simple path to a positive simple cycle, and then that cycle, each take
+  fewer than |F| steps, and that credit runs the path and then the cycle
+  forever;
+- the height H: a walk from below the credit bound that reaches T gains more
+  than |F| * up, so it sets more than |F| new maxima and two of them are at
+  one state.  The segment between them gains and stays >= 1, so pumping it
+  climbs forever, and the walk started at need[q] or above.
+The dip at each anchor a then follows:
+- ``plus``: need[a] - 1.  A covering positive closed walk of dip D iterates
+  forever from D + 1; conversely a walk from need[a] climbs high enough to
+  cover F and come back to a above need[a].  Proved.
+- ``equal`` with tight edges under a potential P covering F: every zero
+  closed walk is tight, so along one the counter moves by P(v) - P(a), and a
+  covering one meets every v.  The dip is max(0, max_v P(a) - P(v)).  Proved.
+- ``equal`` with cycles of both signs: the larger of need[a] and the same
+  credit on reversed, negated arcs (the credit to come down into a from
+  arbitrarily high), minus 1.  That much suffices: climb, cover F and cancel
+  the weight high up, then come down into a.  That no lower dip closes is
+  checked, not proved: the tests compare every dip with a linear dip scan.
+If ``_i_level_kinds`` promises a kind that no rule gives, enumeration raises
+``MbcaError``.
+
+Witness letters are found on first read of a descriptor's ``cycle``, by one
+``_search`` at the loop's dip.  At the I-level its first walk is the one a
+scan upward from dip 0 finds first; at the Z-level it is the walk that the
+enumeration's existence search found.  A descriptor keeps only its machine
+for this.  Naming reads no letters, so it runs no I-level search.
+
+The Z-level abstraction ``_may_close`` keeps values 0..K exact and one class
+T for every value above K, with K = d+ + 1, where d+ is the machine's largest
+positive delta.  Moves follow the concrete move function, which depends only
+on whether the counter is zero; a step landing above K lands on T, one
+landing below 0 is dropped, and a -1 step from T lands on K or stays.
+I-level deltas are >= -1 (``automaton.check`` enforces it), so a step from a
+value above K stays at K or above, and every concrete step that keeps the
+counter >= 0 maps to an abstract one, for every K >= 0.  A concrete covering
+walk from (anchor, 0) back to (anchor, 0) therefore maps to an abstract walk
+whose nodes are all reachable from (anchor, 0) and all reach it again.  No
+visited mask is needed: if the states of that forward and backward set miss
+a state of F, no concrete walk covers F, and the search is skipped; otherwise
+``_search`` decides.
 
 Search bounds.  Let N = |F| * 2^|F| count the (state, visited subset) pairs
 and D = d+; deltas are >= -1.  ``rel_cap`` is (N + 1)(D + 1).  A shortest
@@ -67,16 +100,15 @@ the machine's states.  Cutting repeated up- and down-crossings of a counter
 level shortens a witness only to height N^2 * D, so b_z is not proved either.
 For those two cases the tests check the bounds instead: the lasso oracle must
 realize no Inf set that the loops miss, and the arithmetic must agree with the
-bounded search.  The I-level dip scan runs ``_search`` at every dip from the
-first unrefused one, so its dips and witness letters are those of a scan that
-refutes nothing.  It raises ``MbcaError`` if the arithmetic promises a loop
-that no dip up to rel_cap gives.
+bounded search.  Reading the letters of an I-level loop raises ``MbcaError``
+if no walk at its dip stays within rel_cap.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .automaton import LEVEL_POS, LEVEL_ZERO, Configuration, Mbca, MbcaError, memo
 from .automaton import closure, potentials, reverse, sccs
@@ -96,7 +128,12 @@ class LoopDescriptor:
     delta_kind: str  # plus | equal
     positive: bool  # essential_set in the accept family
     dip: int
-    cycle: tuple[str, ...]  # witness letters, replayable from the anchor
+    machine: Mbca = field(compare=False, repr=False)
+
+    @cached_property
+    def cycle(self) -> tuple[str, ...]:
+        """Witness letters, replayable from the anchor; found on first read."""
+        return _letters(self)
 
     @property
     def min_anchor_counter(self) -> int:
@@ -179,88 +216,149 @@ def _cap(size: int, dplus: int) -> int:
     return (size * (1 << size) + 1) * (dplus + 1)
 
 
+def _inside(rows, subset: frozenset[int]) -> dict[int, list[tuple[str, int, int]]]:
+    """The edges of ``rows`` (one list per state index) that stay inside F."""
+    return {s: [e for e in rows[s] if e[1] in subset] for s in subset}
+
+
 def _i_level_sets(machine: Mbca):
     """Each I-level candidate set F with the I-edges inside F, keyed by state index."""
     pos = machine.moves.pos
     i_adj = {s: {t for _, t, _ in edges} for s, edges in enumerate(pos)}
     for subset in _candidate_sets(len(pos), i_adj):
-        yield subset, {s: [e for e in pos[s] if e[1] in subset] for s in subset}
+        yield subset, _inside(pos, subset)
 
 
-def _z_level_sets(machine: Mbca):
-    """Each Z-level candidate set F with its move function and counter cap.
+def _z_level_moves(machine: Mbca, subset: frozenset[int]):
+    """The Z-level move function inside F and its counter cap.
 
     The move function gives Z-edges at counter zero and, above zero, I-edges
     only from states that can still reach a -1 edge inside F.
     """
+    ze, ie = _inside(machine.moves.zero, subset), _inside(machine.moves.pos, subset)
+    can_drop = {s for s in subset if any(d < 0 for _, _, d in ie[s])}
+    changed = bool(can_drop)
+    while changed:
+        changed = False
+        for s in subset:
+            if s not in can_drop and any(t in can_drop for _, t, _ in ie[s]):
+                can_drop.add(s)
+                changed = True
+
+    def edge_fn(s, rel):
+        if rel == 0:
+            return ze[s]
+        if s not in can_drop:
+            return ()
+        return ie[s]
+
+    return edge_fn, _cap(len(machine.states), machine.moves.dplus) if can_drop else 0
+
+
+def _z_level_sets(machine: Mbca):
+    """Each Z-level candidate set F with its move function and counter cap."""
     zero, pos = machine.moves.zero, machine.moves.pos
     u_adj = {s: {t for _, t, _ in pos[s] + zero[s]} for s in range(len(pos))}
-    b_z = _cap(len(pos), machine.moves.dplus)
     for subset in _candidate_sets(len(pos), u_adj):
-        ze = {s: [e for e in zero[s] if e[1] in subset] for s in subset}
-        ie = {s: [e for e in pos[s] if e[1] in subset] for s in subset}
-        can_drop = {s for s in subset if any(d < 0 for _, _, d in ie[s])}
-        changed = bool(can_drop)
-        while changed:
-            changed = False
-            for s in subset:
-                if s not in can_drop and any(t in can_drop for _, t, _ in ie[s]):
-                    can_drop.add(s)
-                    changed = True
-
-        def edge_fn(s, rel, _ze=ze, _ie=ie, _can_drop=can_drop):
-            if rel == 0:
-                return _ze[s]
-            if s not in _can_drop:
-                return ()
-            return _ie[s]
-
-        yield subset, edge_fn, b_z if can_drop else 0
+        yield (subset, *_z_level_moves(machine, subset))
 
 
-def _i_level_kinds(
-    subset: frozenset[int], edges: dict[int, list[tuple[str, int, int]]]
-) -> tuple[str, ...]:
-    """The kinds of covering closed walk that F's I-edges admit, in search order.
+def _arcs(subset: frozenset[int], edges: dict[int, list[tuple[str, int, int]]]):
+    return [(s, t, d) for s in subset for _, t, d in edges[s]]
 
-    The answer is the same at every anchor of F; the module docstring argues it.
+
+def _cycle_arithmetic(subset: frozenset[int], arcs: list[tuple[int, int, int]]):
+    """The signs of F's cycles, and a potential P whose tight edges strongly
+    connect F (None if there is none).
+
+    Along a walk on tight edges the counter moves by P(target) - P(source).
     """
-    arcs = [(s, t, d) for s in subset for _, t, d in edges[s]]
     cycle_signs: set[int] = set()
-    tight_cover = False
+    tight_potential = None
     for sign in (1, -1):  # shortest paths, then longest paths as shortest under -d
         signed = [(s, t, sign * d) for s, t, d in arcs]
         dist, cyclic = potentials(subset, signed)
         if cyclic:
             cycle_signs.add(-sign)
             continue
-        tight: dict[int, set[int]] = {}
-        for s, t, d in signed:
-            if dist[s] + d == dist[t]:
-                tight.setdefault(s, set()).add(t)
-        tight_cover = tight_cover or _induced_strongly_connected(subset, tight)
-    equal = cycle_signs == {1, -1} or tight_cover
+        if tight_potential is None:
+            tight: dict[int, set[int]] = {}
+            for s, t, d in signed:
+                if dist[s] + d == dist[t]:
+                    tight.setdefault(s, set()).add(t)
+            if _induced_strongly_connected(subset, tight):
+                tight_potential = {v: sign * dist[v] for v in subset}
+    return cycle_signs, tight_potential
+
+
+def _i_level_kinds(
+    subset: frozenset[int], edges: dict[int, list[tuple[str, int, int]]]
+) -> tuple[str, ...]:
+    """The kinds of covering closed walk that F's I-edges admit: equal, then plus.
+
+    The answer is the same at every anchor of F; the module docstring argues it.
+    """
+    cycle_signs, tight_potential = _cycle_arithmetic(subset, _arcs(subset, edges))
+    equal = cycle_signs == {1, -1} or tight_potential is not None
     return tuple(kind for kind, ok in (("equal", equal), ("plus", 1 in cycle_signs)) if ok)
 
 
-def _may_close(
-    edge_fn, anchor: int, subset: frozenset[int], floor: int, top: int, kind: str
-) -> bool:
-    """Whether the counter abstraction has a walk from (anchor, 0) of the given
-    kind whose states cover F.
+def _credit(subset: frozenset[int], arcs: list[tuple[int, int, int]]) -> dict[int, int]:
+    """Per state q of F, the least counter from which a walk on ``arcs`` that
+    stays >= 1 climbs forever; meaningful when F has a positive cycle.
 
-    Counters floor..top-1 are exact and ``top`` stands for every larger value;
-    a -1 step from ``top`` may land on top-1 or stay, and arrivals below
-    ``floor`` are dropped.  The walk ends, after at least one step, at
-    (anchor, 0) for ``equal`` and at (anchor, > 0) for ``plus``.  The module
-    docstring argues that False means no concrete walk exists.
+    One backward fixpoint from need = T everywhere, where counter T counts as
+    climbing; the module docstring argues T.
+    """
+    up = max(0, max(d for _, _, d in arcs))
+    down = max(0, -min(d for _, _, d in arcs))
+    need = dict.fromkeys(subset, (2 * len(subset) - 1) * down + len(subset) * up + 1)
+    changed = True
+    while changed:
+        changed = False
+        for q, t, d in arcs:
+            credit = need[t] - d  # need[q] becomes max(1, credit) if that is lower
+            if credit < need[q] and need[q] > 1:
+                need[q] = max(1, credit)
+                changed = True
+    return need
+
+
+def _i_level_dips(
+    subset: frozenset[int], edges: dict[int, list[tuple[str, int, int]]]
+) -> dict[str, dict[int, int]]:
+    """Per kind of loop that F admits, each anchor's minimal dip, by the rules
+    the module docstring argues."""
+    arcs = _arcs(subset, edges)
+    cycle_signs, tight_potential = _cycle_arithmetic(subset, arcs)
+    dips: dict[str, dict[int, int]] = {}
+    if tight_potential is not None:
+        low = min(tight_potential.values())
+        dips["equal"] = {a: p - low for a, p in tight_potential.items()}
+    if 1 in cycle_signs:
+        need = _credit(subset, arcs)
+        dips["plus"] = {a: need[a] - 1 for a in subset}
+        if -1 in cycle_signs:
+            back = _credit(subset, [(t, s, -d) for s, t, d in arcs])
+            dips["equal"] = {a: max(need[a], back[a]) - 1 for a in subset}
+    return dips
+
+
+def _may_close(edge_fn, anchor: int, subset: frozenset[int], top: int) -> bool:
+    """Whether the Z-level counter abstraction has a walk from (anchor, 0) back
+    to (anchor, 0), after at least one step, whose states cover F.
+
+    Counters 0..top-1 are exact and ``top`` stands for every larger value;
+    a -1 step from ``top`` may land on top-1 or stay, and arrivals below 0
+    are dropped.  The module docstring argues that False means no concrete
+    walk exists.
     """
 
     def successors(node):
         s, c = node
         for _, t, d in edge_fn(s, c):
             if c < top:
-                if c + d >= floor:
+                if c + d >= 0:
                     yield t, min(c + d, top)
             else:
                 if d < 0:
@@ -277,7 +375,7 @@ def _may_close(
             if nxt not in seen:
                 seen.add(nxt)
                 frontier.append(nxt)
-    closing = {(s, c) for s, c in seen if s == anchor and (c > 0 if kind == "plus" else c == 0)}
+    closing = {(anchor, 0)} & seen
     frontier = list(closing)
     while frontier:
         for prev in preds.get(frontier.pop(), ()):
@@ -287,63 +385,74 @@ def _may_close(
     return {s for s, _ in closing} == subset
 
 
-def _loops_of(machine: Mbca) -> tuple[LoopDescriptor, ...]:
-    states = list(machine.states)
-    dplus = machine.max_positive_delta()
-    found: dict[tuple, LoopDescriptor] = {}
-    top = dplus + 2  # the abstraction keeps counters up to K = d+ + 1 exact
+def _letters(d: LoopDescriptor) -> tuple[str, ...]:
+    """A loop's witness letters: the first walk ``_search`` finds at its dip.
 
-    def emit(anchor_i, level, subset, kind, dip, cycle):
-        fset = frozenset(states[i] for i in subset)
-        key = (states[anchor_i], level, fset, kind)
-        if key not in found:
-            found[key] = LoopDescriptor(
-                anchor=states[anchor_i],
+    At the I-level that is the walk a scan upward from dip 0 finds first; at
+    the Z-level it is the walk the enumeration's existence search found.
+    """
+    states = d.machine.states
+    index = {q: i for i, q in enumerate(states)}
+    subset = frozenset(index[q] for q in d.essential_set)
+    anchor, fmask = index[d.anchor], _mask(subset)
+    if d.level == LEVEL_ZERO:
+        edge_fn, cap = _z_level_moves(d.machine, subset)
+    else:
+        edges = _inside(d.machine.moves.pos, subset)
+        edge_fn, cap = (lambda s, rel: edges[s]), _cap(len(subset), d.machine.moves.dplus)
+    cycle = _search(edge_fn, anchor, fmask, -d.dip, cap, _closes(anchor, fmask, d.delta_kind))
+    if cycle is None:
+        members = ", ".join(states[i] for i in sorted(subset))
+        raise MbcaError(
+            f"internal error: the {d.level}-level {d.delta_kind} loop on {{{members}}} "
+            f"at {d.anchor} has no walk at dip {d.dip} up to {cap}"
+        )
+    return tuple(cycle)
+
+
+def _loops_of(machine: Mbca) -> tuple[LoopDescriptor, ...]:
+    states = machine.states
+    found: list[LoopDescriptor] = []
+
+    def emit(anchor, level, fset, kind, dip):
+        found.append(
+            LoopDescriptor(
+                anchor=states[anchor],
                 level=level,
                 essential_set=fset,
                 delta_kind=kind,
                 positive=fset in machine.accept_family,
                 dip=dip,
-                cycle=tuple(cycle),
+                machine=machine,
             )
+        )
 
-    # I-level: uniform positive-level edges, relative counters, minimal dips.
+    # I-level: uniform positive-level edges, relative counters, dips in closed form.
     for subset, edges in _i_level_sets(machine):
         kinds = _i_level_kinds(subset, edges)
-        fmask = _mask(subset)
-        rel_cap = _cap(len(subset), dplus)
-
-        def edge_fn(s, rel, _edges=edges):
-            return _edges[s]
-
+        dips = _i_level_dips(subset, edges) if kinds else {}
+        fset = frozenset(states[i] for i in subset)
         for anchor in subset:
             for kind in kinds:
-                ok = _closes(anchor, fmask, kind)
-                for dip in range(rel_cap + 1):
-                    if not _may_close(edge_fn, anchor, subset, -dip, top, kind):
-                        continue
-                    cycle = _search(edge_fn, anchor, fmask, -dip, rel_cap, ok)
-                    if cycle is not None:
-                        emit(anchor, LEVEL_POS, subset, kind, dip, cycle)
-                        break
-                else:
+                if kind not in dips:
+                    members = ", ".join(states[i] for i in sorted(subset))
                     raise MbcaError(
-                        f"internal error: cycle arithmetic promises an I-level {kind} "
-                        f"loop on {{{', '.join(states[i] for i in sorted(subset))}}} "
-                        f"at {states[anchor]}, but no dip up to {rel_cap} gives one"
+                        f"internal error: cycle arithmetic promises an I-level {kind} loop "
+                        f"on {{{members}}} at {states[anchor]}, but no dip rule gives one"
                     )
+                emit(anchor, LEVEL_POS, fset, kind, dips[kind][anchor])
 
     # Z-level: full table, absolute counters from zero back to zero.
+    top = machine.moves.dplus + 2  # the abstraction keeps counters up to K = d+ + 1 exact
     for subset, edge_fn, cap in _z_level_sets(machine):
-        fmask = _mask(subset)
+        fset, fmask = frozenset(states[i] for i in subset), _mask(subset)
         for anchor in subset:
-            if not _may_close(edge_fn, anchor, subset, 0, top, "equal"):
+            if not _may_close(edge_fn, anchor, subset, top):
                 continue
-            cycle = _search(edge_fn, anchor, fmask, 0, cap, _closes(anchor, fmask, "equal"))
-            if cycle is not None:
-                emit(anchor, LEVEL_ZERO, subset, "equal", 0, cycle)
+            if _search(edge_fn, anchor, fmask, 0, cap, _closes(anchor, fmask, "equal")) is not None:
+                emit(anchor, LEVEL_ZERO, fset, "equal", 0)
 
-    return tuple(sorted(found.values(), key=lambda d: (d.anchor, d.level, sorted(d.essential_set), d.delta_kind)))
+    return tuple(sorted(found, key=lambda d: (d.anchor, d.level, sorted(d.essential_set), d.delta_kind)))
 
 
 def loops(machine: Mbca) -> tuple[LoopDescriptor, ...]:

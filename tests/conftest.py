@@ -116,17 +116,22 @@ def random_machine(
     n_letters: int = 3,
     counter: bool = True,
     density: float = 0.75,
+    max_delta: int = 1,
 ) -> Mbca:
-    """A random well-formed machine; Z-entries mirror I-entries (blindness)."""
+    """A random well-formed machine; Z-entries mirror I-entries (blindness).
+
+    Deltas are drawn from -1, 0, 0 and 1..max_delta.
+    """
     states = [f"q{i}" for i in range(n_states)]
     letters = "abcdefg"[:n_letters]
+    deltas = [-1, 0, 0, *range(1, max_delta + 1)]
     transitions = []
     for q in states:
         for a in letters:
             if rng.random() > density:
                 continue
             target = rng.choice(states)
-            delta = rng.choice([-1, 0, 0, 1]) if counter else 0
+            delta = rng.choice(deltas) if counter else 0
             transitions.append((q, a, "I", target, delta))
             if delta >= 0 and rng.random() < 0.8:
                 transitions.append((q, a, "Z", target, delta))

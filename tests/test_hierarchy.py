@@ -391,7 +391,12 @@ def _relations(analyzer: Analyzer):
 
 def test_assembly_matches_the_reference():
     for label, machine in _reference_machines():
-        assert _relations(Analyzer(machine)) == _relations(ReferenceAnalyzer(machine)), label
+        analyzer = Analyzer(machine)
+        assert _relations(analyzer) == _relations(ReferenceAnalyzer(machine)), label
+        # ``loop_sources`` enters a plus loop only through its anchor's tail
+        reach = analyzer.initial_reach().reach_set
+        plus = [d for d in analyzer.admissible_loops() if d.delta_kind == "plus"]
+        assert all(reach.at(d.anchor).tail is not None for d in plus), label
 
 
 class DoubledFloorAnalyzer(Analyzer):

@@ -2,7 +2,7 @@ import importlib
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mbca import (
     AnchorUnreachable,
@@ -12,8 +12,11 @@ from mbca import (
     member,
     run,
     validate,
+    wadge_name,
     witness_word,
 )
+from mbca import automaton
+from mbca.hierarchy import analyzer_for
 from mbca.loops import admissible
 from conftest import brute_force_inf_sets, random_counter_free, random_machine
 
@@ -127,7 +130,12 @@ def small_machines(draw, max_states=5):
     rng = draw(st.randoms(use_true_random=False))
     n_states = draw(st.integers(2, max_states))
     if draw(st.booleans()):
-        return random_machine(rng, n_states=n_states, n_letters=draw(st.integers(2, 3)))
+        return random_machine(
+            rng,
+            n_states=n_states,
+            n_letters=draw(st.integers(2, 3)),
+            max_delta=draw(st.sampled_from([1, 1, 2, 3])),
+        )
     return random_counter_free(rng, n_states=n_states)
 
 
@@ -154,23 +162,13 @@ def test_loop_existence_matches_the_product_search(machine):
                 is not None
             )
             assert found == kinds, (machine, subset, anchor)
-            # a refused dip has no concrete witness, at every dip up to the minimal one
-            for kind in kinds:
-                closed = closes(anchor, fmask, kind)
-                for dip in range(rel_cap + 1):
-                    witness = search(edge_fn, anchor, fmask, -dip, rel_cap, closed)
-                    for top in (1, dplus + 2):
-                        if not may_close(edge_fn, anchor, subset, -dip, top, kind):
-                            assert witness is None, (machine, subset, anchor, kind, dip, top)
-                    if witness is not None:
-                        break
     for subset, edge_fn, cap in loops_module._z_level_sets(machine):
         fmask = mask(subset)
         for anchor in subset:
             closed = closes(anchor, fmask, "equal")
             # the abstraction is sound for every K = top - 1 >= 0
             for top in (1, dplus + 2):
-                if not may_close(edge_fn, anchor, subset, 0, top, "equal"):
+                if not may_close(edge_fn, anchor, subset, top):
                     assert search(edge_fn, anchor, fmask, 0, cap, closed) is None
 
 
@@ -214,6 +212,16 @@ def test_a_promised_loop_without_a_witness_is_an_internal_error(monkeypatch):
         loops(machine)
 
 
+def test_letters_at_a_dip_with_no_walk_are_an_internal_error(monkeypatch):
+    # the only cycle loses, so no plus walk exists at any dip; the rules are made to claim one
+    machine = validate("short", ["a"], ["q"], "q", [("q", "a", "I", "q", -1)], [])
+    monkeypatch.setattr(loops_module, "_i_level_kinds", lambda subset, edges: ("plus",))
+    monkeypatch.setattr(loops_module, "_i_level_dips", lambda subset, edges: {"plus": {0: 0}})
+    (descriptor,) = loops_module._loops_of(machine)
+    with pytest.raises(MbcaError, match=r"I-level plus loop on \{q\} at q has no walk at dip 0"):
+        descriptor.cycle
+
+
 def _reference_loops(machine):
     """``_loops_of`` by a plain linear dip scan: a concrete search at every dip
     and for every Z-level anchor, with no abstraction to skip any of them."""
@@ -250,6 +258,8 @@ def _reference_loops(machine):
 
 @settings(max_examples=150, deadline=None)
 @given(small_machines(max_states=6))
+# cycles of both signs; coming down into q1 takes credit 4, more than H = 3 alone gives T
+@example(random_machine(random.Random(158), 2, n_letters=2, max_delta=3))
 def test_refuted_dips_leave_the_loops_of_the_linear_scan(machine):
     got = sorted(
         (d.anchor, d.level, tuple(sorted(d.essential_set)), d.delta_kind, d.dip, d.cycle)
@@ -259,19 +269,32 @@ def test_refuted_dips_leave_the_loops_of_the_linear_scan(machine):
 
 
 def test_loop_enumeration_makes_no_failing_product_search(monkeypatch):
-    """Every concrete search the enumeration runs finds its witness: dips that
-    cannot close are refuted by the abstraction first.  Counted, not timed."""
-    search, failing = loops_module._search, []
+    """Every concrete search the enumeration runs finds its witness: Z-level
+    anchors that cannot close are refuted by the abstraction first, and I-level
+    dips come from cycle arithmetic.  Naming reads no witness letters, so it
+    runs no I-level search; reading a descriptor's letters runs at most one.
+    Counted, not timed."""
+    search, calls = loops_module._search, []  # (owner of the edge function, found)
 
     def counted(*args):
         cycle = search(*args)
-        if cycle is None:
-            failing.append(args[1])
+        calls.append((args[0].__qualname__.split(".")[0], cycle is not None))
         return cycle
 
     monkeypatch.setattr(loops_module, "_search", counted)
+    monkeypatch.setattr(automaton, "_memo", {})  # every machine starts cold
     machines = [random_machine(random.Random(seed), 6) for seed in range(30)]
     machines.append(random_machine(random.Random(1000), 10))
     for machine in machines:
-        loops_module._loops_of(machine)
-        assert not failing, machine
+        wadge_name(machine)
+        analyzer_for(machine).admissible_loops()
+        assert all(found for _, found in calls), machine
+        assert all(owner == "_z_level_moves" for owner, _ in calls), machine
+        calls.clear()
+        descriptors = loops(machine)
+        for _ in range(2):
+            for d in descriptors:
+                assert d.cycle
+        assert all(found for _, found in calls), machine
+        assert len(calls) <= len(descriptors), machine
+        calls.clear()
