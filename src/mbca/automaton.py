@@ -98,11 +98,11 @@ def reverse(adj: dict[int, set[int]]) -> dict[int, set[int]]:
     return radj
 
 
-def sccs(n: int, adj: dict[int, set[int]]) -> Iterator[set[int]]:
-    """The SCCs of states 0..n-1, each the forward and backward closure of the
-    least state not yet placed (a path inside an SCC never leaves it)."""
+def sccs(nodes: Iterable[int], adj: dict[int, set[int]]) -> Iterator[set[int]]:
+    """The SCCs of ``adj`` over ``nodes``, each the forward and backward closure
+    of the least node not yet placed (a path inside an SCC never leaves it)."""
     radj = reverse(adj)
-    left = set(range(n))
+    left = set(nodes)
     while left:
         seed = min(left)
         scc = closure(seed, left, adj) & closure(seed, left, radj)

@@ -9,13 +9,11 @@ iterates forever.  Z-level walks run from counter zero back to counter zero
 under the full table; blindness makes them replayable from any anchor
 counter, so their minimal anchor counter is zero.
 
-Candidate sets F are the induced strongly connected subsets of each SCC, read
-off the machine's compiled form ``Mbca.moves`` (SCCs by ``automaton.sccs``).
-At the I-level, cycle arithmetic on F's I-edges decides once per set which
-kinds of loop exist and gives every anchor's dip; no product search runs.  At
-the Z-level, one counter abstraction, ``_may_close``, refutes each anchor
-before the product search ``_search`` over (state in F) x (visited subset of
-F) x (bounded counter) looks for a witness.
+Candidate sets F are the induced strongly connected subsets of each SCC of
+the I-level graph, read off ``Mbca.moves`` (SCCs by ``automaton.sccs``);
+blindness mirrors every Z-edge at I-level, so they serve both levels.  Cycle
+arithmetic on F's I-edges gives the I-level kinds and every anchor's dip, and
+one descent summary gives every Z-level anchor; neither runs a product search.
 
 I-level existence is the one-dimensional case of Kosaraju & Sullivan (STOC
 1988).  F is strongly connected, so a closed walk W through the anchor covers
@@ -64,30 +62,35 @@ The dip at each anchor a then follows:
 If ``_i_level_kinds`` promises a kind that no rule gives, enumeration raises
 ``MbcaError``.
 
-Witness letters are found on first read of a descriptor's ``cycle``, by one
-``_search`` at the loop's dip.  At the I-level its first walk is the one a
-scan upward from dip 0 finds first; at the Z-level it is the walk that the
-enumeration's existence search found.  A descriptor keeps only its machine
-for this.  Naming reads no letters, so it runs no I-level search.
+Z-level existence comes from one descent summary per set, one-counter
+pushdown summarization (Reps, Horwitz & Sagiv, POPL 1995; Bouajjani, Esparza
+& Maler, CONCUR 1997).  A descent from x to y goes inside F from (x, 1) to
+(y, 0) and stays >= 1 until its last step, so it runs on I-edges, and as well
+from (x, c) to (y, c - 1) for any c >= 1.  I-level deltas are >= -1
+(``automaton.check`` enforces it), so a walk from counter c down to 0 is c
+chained descents, cut at its first arrival at each lower level.  A descent
+is thus a -1 edge, or an edge of delta d >= 0 followed by d + 1 chained
+descents; ``_descents`` keeps per (x, y) the union of the states that its
+descents visit, as the least fixpoint of these rules.  Z-level deltas are
+>= 0, so a walk between consecutive visits of zero is a Z-edge p -> q of
+delta k and k chained descents from q: one edge p -> t of the zero graph,
+with the union of their states.  Closed walks from (a, 0) to (a, 0)
+concatenate, so a loops iff every state of F lies on one; no visited mask is
+needed.  They are the closed zero-graph walks through a, inside a's SCC
+there, and each walk of each edge in that SCC lies on one.  So a loops iff
+the unions of the edges inside its SCC cover F, with no counter bound.
 
-The Z-level abstraction ``_may_close`` keeps values 0..K exact and one class
-T for every value above K, with K = d+ + 1, where d+ is the machine's largest
-positive delta.  Moves follow the concrete move function, which depends only
-on whether the counter is zero; a step landing above K lands on T, one
-landing below 0 is dropped, and a -1 step from T lands on K or stays.
-I-level deltas are >= -1 (``automaton.check`` enforces it), so a step from a
-value above K stays at K or above, and every concrete step that keeps the
-counter >= 0 maps to an abstract one, for every K >= 0.  A concrete covering
-walk from (anchor, 0) back to (anchor, 0) therefore maps to an abstract walk
-whose nodes are all reachable from (anchor, 0) and all reach it again.  No
-visited mask is needed: if the states of that forward and backward set miss
-a state of F, no concrete walk covers F, and the search is skipped; otherwise
-``_search`` decides.
+Witness letters are found on first read of a descriptor's ``cycle``, by one
+``_search`` at the loop's dip; at the I-level, the walk a scan upward from
+dip 0 finds first.  A descriptor keeps only its machine for this, and naming
+reads no letters.  The Z-level search expands counters above zero only at
+states with a descent: from the others the counter never returns to zero,
+so the cut keeps the parents of every target, hence the letters.
 
 Search bounds.  Let N = |F| * 2^|F| count the (state, visited subset) pairs
-and D = d+; deltas are >= -1.  ``rel_cap`` is (N + 1)(D + 1).  A shortest
-covering closed walk W in the product has at most N steps, so its relative
-counter stays in [-N, N*D].
+and D = d+, the machine's largest positive delta; deltas are >= -1.
+``rel_cap`` is (N + 1)(D + 1).  A shortest covering closed walk W in the
+product has at most N steps, so its relative counter stays in [-N, N*D].
 - ``plus``: if W's weight w is <= 0, splice m copies of a positive simple
   cycle (weight c, at most |F| steps) where W first meets it, with m least
   such that w + m*c > 0.  Every prefix then lies between -(N + |F|) and
@@ -95,13 +98,14 @@ counter stays in [-N, N*D].
 - ``equal`` from tight edges: along a tight walk the relative counter is a
   potential difference, at most (|F| - 1) * max(D, 1) in size.
 - ``equal`` from cycles of both signs: no bound is proved here.
-Z-level searches cap the absolute counter at b_z, the same formula over all
-the machine's states.  Cutting repeated up- and down-crossings of a counter
-level shortens a witness only to height N^2 * D, so b_z is not proved either.
-For those two cases the tests check the bounds instead: the lasso oracle must
-realize no Inf set that the loops miss, and the arithmetic must agree with the
-bounded search.  Reading the letters of an I-level loop raises ``MbcaError``
-if no walk at its dip stays within rel_cap.
+The Z-level letters search caps the absolute counter at b_z, the same formula
+over all the machine's states; b_z bounds only that search, as rel_cap does
+the I-level one.  Cutting repeated up- and down-crossings of a counter level
+shortens a witness only to height N^2 * D, so b_z is not proved.  For those
+two cases the tests check the bounds instead: the lasso oracle must realize
+no Inf set that the loops miss, and the summaries and the arithmetic must
+agree with the bounded search.  Reading a loop's letters raises ``MbcaError``
+if no walk at its dip stays within its cap.
 """
 
 from __future__ import annotations
@@ -157,7 +161,7 @@ def _induced_strongly_connected(subset: frozenset[int], adj: dict[int, set[int]]
 
 
 def _candidate_sets(n: int, adj: dict[int, set[int]]):
-    for scc in sccs(n, adj):
+    for scc in sccs(range(n), adj):
         members = sorted(scc)
         if len(members) > 16:
             raise MbcaError("candidate enumeration beyond desk scale (> 16 states in one SCC)")
@@ -222,45 +226,86 @@ def _inside(rows, subset: frozenset[int]) -> dict[int, list[tuple[str, int, int]
 
 
 def _i_level_sets(machine: Mbca):
-    """Each I-level candidate set F with the I-edges inside F, keyed by state index."""
+    """Each candidate set F, of both levels, with the I-edges inside F, keyed by state index."""
     pos = machine.moves.pos
     i_adj = {s: {t for _, t, _ in edges} for s, edges in enumerate(pos)}
     for subset in _candidate_sets(len(pos), i_adj):
         yield subset, _inside(pos, subset)
 
 
-def _z_level_moves(machine: Mbca, subset: frozenset[int]):
-    """The Z-level move function inside F and its counter cap.
+def _chains(desc: dict[int, dict[int, int]], q: int, k: int) -> dict[int, int]:
+    """Per end state t, the union of the states visited by every chain of k
+    descents from q that ends at t; with k = 0, q itself."""
+    ends = {q: 1 << q}
+    for _ in range(k):
+        nxt: dict[int, int] = {}
+        for y, mask in ends.items():
+            for t, visited in desc[y].items():
+                nxt[t] = nxt.get(t, 0) | mask | visited
+        ends = nxt
+    return ends
 
-    The move function gives Z-edges at counter zero and, above zero, I-edges
-    only from states that can still reach a -1 edge inside F.
-    """
+
+def _descents(subset: frozenset[int], ie: dict[int, list[tuple[str, int, int]]]):
+    """desc[x][y]: the states visited by the descents from x to y on F's I-edges
+    ``ie``, from a worklist of walks (x, at, k, visited) that left x by one
+    edge, are at ``at`` and owe k more descents."""
+    desc: dict[int, dict[int, int]] = {x: {} for x in subset}
+    owing: dict[tuple[int, int, int], int] = {}  # (x, at, k) -> the union of its walks' states
+    waits: dict[int, set[tuple[int, int]]] = {y: set() for y in subset}  # at -> its (x, k)
+    work = [(x, z, d + 1, 1 << x | 1 << z) for x in subset for _, z, d in ie[x]]
+    while work:
+        x, at, k, visited = work.pop()
+        old = owing.get((x, at, k), 0) if k else desc[x].get(at, 0)
+        if visited | old == old:
+            continue
+        visited |= old
+        if k:
+            owing[x, at, k] = visited
+            waits[at].add((x, k))
+            work += [(x, t, k - 1, visited | m) for t, m in desc[at].items()]
+        else:  # a descent from x to `at`: the walks waiting at x move on
+            desc[x][at] = visited
+            work += [(w, at, j - 1, owing[w, x, j] | visited) for w, j in waits[x]]
+    return desc
+
+
+def _z_level_anchors(machine: Mbca, subset: frozenset[int]) -> set[int]:
+    """The anchors of F's Z-level loops, all at once from one descent summary:
+    a loops iff the edges inside its SCC of the zero graph cover F."""
+    ze = _inside(machine.moves.zero, subset)
+    if not any(ze.values()):
+        return set()
+    desc = _descents(subset, _inside(machine.moves.pos, subset))
+    adj: dict[int, set[int]] = {}
+    covers: dict[tuple[int, int], int] = {}  # zero-graph edge -> the states its walks visit
+    for p in subset:
+        for _, q, k in ze[p]:
+            for t, visited in _chains(desc, q, k).items():
+                adj.setdefault(p, set()).add(t)
+                covers[p, t] = covers.get((p, t), 0) | visited | 1 << p
+    component = {v: i for i, scc in enumerate(sccs(subset, adj)) for v in scc}
+    covered: dict[int, int] = {}
+    for (p, t), visited in covers.items():
+        if component[p] == component[t]:
+            covered[component[p]] = covered.get(component[p], 0) | visited
+    full = _mask(subset)
+    return {a for a in subset if covered.get(component[a]) == full}
+
+
+def _z_level_moves(machine: Mbca, subset: frozenset[int]):
+    """The Z-level move function inside F and its counter cap, for witness
+    letters: Z-edges at counter zero and, above zero, I-edges only from states
+    that have a descent (from the others the counter never returns to zero)."""
     ze, ie = _inside(machine.moves.zero, subset), _inside(machine.moves.pos, subset)
-    can_drop = {s for s in subset if any(d < 0 for _, _, d in ie[s])}
-    changed = bool(can_drop)
-    while changed:
-        changed = False
-        for s in subset:
-            if s not in can_drop and any(t in can_drop for _, t, _ in ie[s]):
-                can_drop.add(s)
-                changed = True
+    desc = _descents(subset, ie)
 
     def edge_fn(s, rel):
         if rel == 0:
             return ze[s]
-        if s not in can_drop:
-            return ()
-        return ie[s]
+        return ie[s] if desc[s] else ()
 
-    return edge_fn, _cap(len(machine.states), machine.moves.dplus) if can_drop else 0
-
-
-def _z_level_sets(machine: Mbca):
-    """Each Z-level candidate set F with its move function and counter cap."""
-    zero, pos = machine.moves.zero, machine.moves.pos
-    u_adj = {s: {t for _, t, _ in pos[s] + zero[s]} for s in range(len(pos))}
-    for subset in _candidate_sets(len(pos), u_adj):
-        yield (subset, *_z_level_moves(machine, subset))
+    return edge_fn, _cap(len(machine.states), machine.moves.dplus) if any(desc.values()) else 0
 
 
 def _arcs(subset: frozenset[int], edges: dict[int, list[tuple[str, int, int]]]):
@@ -344,52 +389,10 @@ def _i_level_dips(
     return dips
 
 
-def _may_close(edge_fn, anchor: int, subset: frozenset[int], top: int) -> bool:
-    """Whether the Z-level counter abstraction has a walk from (anchor, 0) back
-    to (anchor, 0), after at least one step, whose states cover F.
-
-    Counters 0..top-1 are exact and ``top`` stands for every larger value;
-    a -1 step from ``top`` may land on top-1 or stay, and arrivals below 0
-    are dropped.  The module docstring argues that False means no concrete
-    walk exists.
-    """
-
-    def successors(node):
-        s, c = node
-        for _, t, d in edge_fn(s, c):
-            if c < top:
-                if c + d >= 0:
-                    yield t, min(c + d, top)
-            else:
-                if d < 0:
-                    yield t, top - 1
-                yield t, top
-
-    seen: set[tuple[int, int]] = set()
-    preds: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    frontier = [(anchor, 0)]
-    while frontier:
-        node = frontier.pop()
-        for nxt in successors(node):
-            preds.setdefault(nxt, []).append(node)
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    closing = {(anchor, 0)} & seen
-    frontier = list(closing)
-    while frontier:
-        for prev in preds.get(frontier.pop(), ()):
-            if prev not in closing:
-                closing.add(prev)
-                frontier.append(prev)
-    return {s for s, _ in closing} == subset
-
-
 def _letters(d: LoopDescriptor) -> tuple[str, ...]:
     """A loop's witness letters: the first walk ``_search`` finds at its dip.
 
-    At the I-level that is the walk a scan upward from dip 0 finds first; at
-    the Z-level it is the walk the enumeration's existence search found.
+    At the I-level that is the walk a scan upward from dip 0 finds first.
     """
     states = d.machine.states
     index = {q: i for i, q in enumerate(states)}
@@ -441,16 +444,9 @@ def _loops_of(machine: Mbca) -> tuple[LoopDescriptor, ...]:
                         f"on {{{members}}} at {states[anchor]}, but no dip rule gives one"
                     )
                 emit(anchor, LEVEL_POS, fset, kind, dips[kind][anchor])
-
-    # Z-level: full table, absolute counters from zero back to zero.
-    top = machine.moves.dplus + 2  # the abstraction keeps counters up to K = d+ + 1 exact
-    for subset, edge_fn, cap in _z_level_sets(machine):
-        fset, fmask = frozenset(states[i] for i in subset), _mask(subset)
-        for anchor in subset:
-            if not _may_close(edge_fn, anchor, subset, top):
-                continue
-            if _search(edge_fn, anchor, fmask, 0, cap, _closes(anchor, fmask, "equal")) is not None:
-                emit(anchor, LEVEL_ZERO, fset, "equal", 0)
+        # Z-level: full table, absolute counters from zero back to zero.
+        for anchor in _z_level_anchors(machine, subset):
+            emit(anchor, LEVEL_ZERO, fset, "equal", 0)
 
     return tuple(sorted(found, key=lambda d: (d.anchor, d.level, sorted(d.essential_set), d.delta_kind)))
 

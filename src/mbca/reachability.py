@@ -134,7 +134,7 @@ def _cycles(moves: Moves) -> tuple[tuple[Cycle, ...], ...]:
     """
     n = len(moves.pos)
     found: list[tuple[Cycle, ...]] = [()] * n
-    for scc in sccs(n, {q: {t for _, t, _ in moves.pos[q]} for q in range(n)}):
+    for scc in sccs(range(n), {q: {t for _, t, _ in moves.pos[q]} for q in range(n)}):
         inner = {q: [(t, d) for _, t, d in moves.pos[q] if t in scc] for q in scc}
         arcs = [(q, t, d) for q in scc for t, d in inner[q]]
         # S has a cycle of sign s iff it has a negative cycle under the weights -s*d

@@ -90,9 +90,9 @@ def test_derivation_keeping_m_is_an_internal_error(monkeypatch):
 @pytest.mark.xfail(
     strict=True,
     raises=MbcaError,
-    reason="ROADMAP item 1: derivation did not shrink m = 1 on these two valid machines",
+    reason="ROADMAP item 1: derivation did not shrink m = 1 on these three valid machines",
 )
-@pytest.mark.parametrize("seed, n_states", [(2084, 5), (353, 7)])
+@pytest.mark.parametrize("seed, n_states", [(2084, 5), (353, 7), (70, 10)])
 def test_naming_succeeds_on_the_known_failures(seed, n_states):
     wadge_name(random_machine(random.Random(seed), n_states))
 
@@ -107,6 +107,21 @@ def test_bounded_re_entries_are_counted():
     """The configuration unfolding of this bounded machine (8 configurations)
     alternates {q0,q2}-, {q3}+, {q4}-, {q3}+, {q4}-: length 5, not 3."""
     assert wadge_name(random_machine(random.Random(2876), 5)).render() == "D_1^5"
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 1: a set maximal only at the level where it is reached "
+    "loses its site edge; mbca prints E_1^1 E",
+)
+def test_a_zero_level_site_edge_is_kept():
+    """From {q2,q7}+ at counter 0, a b goes to (q5, 1) and a c to (q6, 0).  At
+    counter 0 only the Z-level c-loop {q6}- operates, so the edge from
+    {q2,q7}+ to {q6}- is real: the configuration unfolding gives
+    (m, n, s) = (1, 2, +1)."""
+    machine = random_machine(random.Random(1021), 8, 3, density=0.6)
+    assert wadge_name(machine).render() == "C_1^2"
 
 
 def test_derive_threshold_three():

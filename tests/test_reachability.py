@@ -267,6 +267,24 @@ def test_agreement_with_bfs_oracle_random():
                 assert cfg == Configuration(q, v), (i, q, v)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(3, 6), st.integers(1, 3))
+def test_reach_is_sound_and_complete_below_its_cap(rng, n_states, max_delta):
+    """reach()'s documented contract, as it stands: no value claimed that the
+    oracle lacks (at a cap 400 above the analysis cap), and every value the
+    oracle finds inside the analysis cap claimed.  Values that only paths
+    above the cap reach may be missed, so they are not checked."""
+    machine = random_machine(rng, n_states=n_states, max_delta=max_delta)
+    start = machine.initial_configuration()
+    reach_set = reach(machine, start)
+    cap = start.counter + cutoff(machine)
+    inside, high = bfs_reach_oracle(machine, start, cap), bfs_reach_oracle(machine, start, cap + 400)
+    for q in machine.states:
+        claimed = {v for v in range(120) if reach_set.at(q).contains(v)}
+        assert claimed <= high.get(q, set()), (machine, q)
+        assert {v for v in inside.get(q, ()) if v < 120} <= claimed, (machine, q)
+
+
 def test_shift_monotone_reach():
     rng = random.Random(29)
     for _ in range(25):
