@@ -125,6 +125,41 @@ def potentials(subset: set[int] | frozenset[int], arcs: list[tuple[int, int, int
     return dist, True
 
 
+def credit(subset: set[int] | frozenset[int], arcs: list[tuple[int, int, int]]) -> dict[int, int]:
+    """Per state q of F, the least counter from which a walk on ``arcs`` that
+    stays >= 1 climbs forever; meaningful when F is strongly connected and has
+    a positive cycle.
+
+    A one-player energy fixpoint (Bouyer, Fahrenberg, Larsen, Markey & Srba,
+    FORMATS 2008).  Let up and down be the largest rise and fall of one step on
+    F's arcs (q, t, d).  Starting from need = T at every state, relaxing
+    need[q] = min(need[q], max(1, need[t] - d)) until nothing changes gives,
+    per state, the least counter from which a walk staying >= 1 reaches
+    counter T.  With T = (2|F| - 1) * down + H and H = |F| * up + 1, that is
+    the least counter from which it climbs forever:
+    - the credit bound: the answer is at most (2|F| - 1) * down + 1 < T,
+      because from q a simple path to a positive simple cycle, and then that
+      cycle, each take fewer than |F| steps, and that credit runs the path and
+      then the cycle forever;
+    - the height H: a walk from below the credit bound that reaches T gains
+      more than |F| * up, so it sets more than |F| new maxima and two of them
+      are at one state.  The segment between them gains and stays >= 1, so
+      pumping it climbs forever, and the walk started at the answer or above.
+    """
+    up = max(0, max(d for _, _, d in arcs))
+    down = max(0, -min(d for _, _, d in arcs))
+    need = dict.fromkeys(subset, (2 * len(subset) - 1) * down + len(subset) * up + 1)
+    changed = True
+    while changed:
+        changed = False
+        for q, t, d in arcs:
+            gained = need[t] - d  # need[q] becomes max(1, gained) if that is lower
+            if gained < need[q] and need[q] > 1:
+                need[q] = max(1, gained)
+                changed = True
+    return need
+
+
 @dataclass(frozen=True)
 class Mbca:
     """A Muller blind one-counter automaton.
@@ -201,6 +236,7 @@ def memo(machine: Mbca, key, build: Callable[[], T]) -> T:
     parsed twice, or a derived machine rebuilt by a later derivation, shares
     the work done for an equal one.  Each machine's entry maps a key to the
     cycle summaries, the reach analysis from each start configuration, the
+    backward edges, the cover table of each target, the pump credits, the
     loop descriptors, the ``Analyzer`` of each threshold map and the Wadge
     name.
 
@@ -209,12 +245,12 @@ def memo(machine: Mbca, key, build: Callable[[], T]) -> T:
     ``machines/`` file in one process touches 44 machines.  So
     ``MEMO_MACHINES`` keeps such a working set whole, while a process that
     streams many distinct machines keeps only the newest ones: the oldest
-    machine's entry goes first.  Reach analyses keep one bitset per state, so
-    an entry stays small.  Measured with ``tracemalloc`` as the memory freed by
-    clearing the cache after a cold ``wadge_name``: 0.016 MB for ``A1``
-    (3 analyses), 0.09 MB for ``C_2^w*2`` (11) and 2.7 MB for ``E_2^w*2`` and
-    its derived machine (51).  So the bound limits how many machines are
-    remembered, not bytes.
+    machine's entry goes first.  Reach analyses keep one bitset per state and
+    cover tables one number per state, so an entry stays small.  Measured with
+    ``tracemalloc`` as the memory freed by clearing the cache after a cold
+    ``wadge_name``: 0.018 MB for ``A1`` (1 analysis), 0.07 MB for ``C_2^w*2``
+    (1) and 0.23 MB for ``E_2^w*2`` and its derived machine (22).  So the
+    bound limits how many machines are remembered, not bytes.
     """
     slot = _memo.get(machine)
     if slot is None:

@@ -43,6 +43,8 @@ every Z entry at I level.  Let k be the number of states.
    From there at most k steps inside S reach C, and pumping, then the run of
    step 2, reaches a with unbounded counters: a is among the tail states of
    the ``_seen`` record of a source of S, as ``_alternating_paths`` requires.
+   (Those tail states are ``reachability.tail_states``, exactly the states
+   reached at unboundedly many counters.)
 5. So ``_alternating_paths`` keeps at least the one-site path S, and the
    chain gives a superchain of length w*p + s with s >= 1.  Every limit length
    w*p is thus beaten by w*p + 1, and n is never a limit when m = 1.

@@ -12,7 +12,9 @@ giving lengths omega*p + s below omega^2.
 
 Every reachability question of the assembly is set algebra on one cached
 record per source configuration, ``Analyzer._seen``: the maximal-site loops a
-run from the source operates and the states it reaches with a tail.  One
+run from the source operates and the states it reaches with a tail.  The
+record is read off backward cover tables (``reachability.cover``), one per
+target shared by every source, so no source needs a forward analysis.  One
 walker, ``_simple_paths``, yields both the link chains and the alternating
 site paths in depth-first preorder, and one pass over the essential sets keeps
 each set's first longest chain per first sign.
@@ -25,7 +27,7 @@ from functools import total_ordering, wraps
 
 from .automaton import LEVEL_POS, Configuration, Mbca, memo
 from .loops import LoopDescriptor, admissible, loops
-from .reachability import analysis, cutoff
+from .reachability import analysis, covers, cutoff, tail_states
 
 
 @total_ordering
@@ -253,17 +255,19 @@ class Analyzer:
     def high_floor(self) -> int:
         """The counter from which a source stands for "arbitrarily high".
 
-        What a run from a source can do (``_seen``) only grows with its
-        counter: a run shifted up is again a run, since blindness mirrors every
-        Z entry at I level.  With k states, a run from (q, c) follows any simple
-        path of the I-level graph (at most k - 1 steps, each losing at most 1)
-        and ends at c - k + 1 or more, and from c >= 2k it pumps any simple
-        positive cycle on the way forever.  So the floor must exceed 2k, as
-        ``cutoff`` alone does, and every maximal-site loop's operating minimum
-        plus k - 1; past both, a higher source operates no more loops and
-        reaches no more tails.  Not proved: the second bound, as dips and
-        derivation thresholds are capped only heuristically.  The tests check
-        that doubling the floor changes no link, superchain or invariant.
+        ``_seen`` reads exact cover tables, so a source at counter c sees what
+        every higher source sees once c is at least each finite need of the
+        tables it reads: those of each maximal-site loop's (anchor, operating
+        minimum) and of each pump state's credit.  With k states, a finite
+        need of the table of (t, f) is at most max(1, f) + k - 1 (the
+        ``reachability`` module docstring).  A credit is at most 2k - 1
+        (``automaton.credit``, I-level deltas being >= -1), and an operating
+        minimum that comes from a dip is at most (2k - 1) * max(d+, 1) + 1
+        (the ``loops`` module docstring's rules).  Both plus k - 1 stay
+        below ``cutoff``.  A derivation threshold has no such bound, so
+        ``test_high_floor_is_at_least_every_finite_need`` checks the floor
+        against every finite need on the reference machines, derived
+        analyzers included.
         """
         k = len(self.machine.states)
         return cutoff(self.machine) + k * (self.machine.max_positive_delta() + 2)
@@ -315,16 +319,17 @@ class Analyzer:
         """The one record every assembly relation reads: the positions, in
         ``admissible_loops()``, of the maximal-site loops that a run from
         ``source`` operates (reaches the anchor at or above its operating
-        minimum), and the states it reaches with a tail."""
-        rs = analysis(self.machine, source).reach_set
+        minimum), and the states it reaches with a tail.  Both are read off
+        backward cover tables, one per (anchor, operating minimum) and one per
+        pump state, each shared by every source."""
         sites = set(self.max_sites())
         operated = frozenset(
             i
             for i, d in enumerate(self.admissible_loops())
             if d.essential_set in sites
-            and rs.at(d.anchor).has_value_at_least(self.operating_min(d))
+            and covers(self.machine, source, d.anchor, self.operating_min(d))
         )
-        return operated, frozenset(q for q, sr in rs.per_state.items() if sr.tail)
+        return operated, tail_states(self.machine, source)
 
     def _operated_sites(self, sources, wanted: set) -> set[frozenset[str]]:
         """The ``wanted`` sites with a loop that a run from one of ``sources``

@@ -30,24 +30,10 @@ is the same for every anchor of F.
   exactly the tight ones under the longest-path (or shortest-path)
   potentials.  Conversely, a closed walk on tight edges has weight 0.
 
-I-level dips come from one credit fixpoint per set, a one-player energy
-fixpoint (Bouyer, Fahrenberg, Larsen, Markey & Srba, FORMATS 2008).  Let up
-and down be the largest rise and fall of one step on F's arcs (q, t, d), and
-need[q] the least counter from which a walk at q that stays >= 1 climbs
-forever, when F has a positive cycle.  ``_credit`` starts from need = T at
-every state and relaxes need[q] = min(need[q], max(1, need[t] - d)) until
-nothing changes; that gives, per state, the least counter from which a walk
-staying >= 1 reaches counter T.  With T = (2|F| - 1) * down + H and
-H = |F| * up + 1, this is need[q]:
-- the credit bound: need[q] <= (2|F| - 1) * down + 1 < T, because from q a
-  simple path to a positive simple cycle, and then that cycle, each take
-  fewer than |F| steps, and that credit runs the path and then the cycle
-  forever;
-- the height H: a walk from below the credit bound that reaches T gains more
-  than |F| * up, so it sets more than |F| new maxima and two of them are at
-  one state.  The segment between them gains and stays >= 1, so pumping it
-  climbs forever, and the walk started at need[q] or above.
-The dip at each anchor a then follows:
+I-level dips come from one credit fixpoint per set, ``automaton.credit``: per
+state q, need[q] is the least counter from which a walk at q that stays >= 1
+climbs forever, when F has a positive cycle; its docstring argues the
+fixpoint's ceiling.  The dip at each anchor a then follows:
 - ``plus``: need[a] - 1.  A covering positive closed walk of dip D iterates
   forever from D + 1; conversely a walk from need[a] climbs high enough to
   cover F and come back to a above need[a].  Proved.
@@ -115,7 +101,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .automaton import LEVEL_POS, LEVEL_ZERO, Configuration, Mbca, MbcaError, memo
-from .automaton import closure, potentials, reverse, sccs
+from .automaton import closure, credit, potentials, reverse, sccs
 from .reachability import analysis
 from .semantics import UPWord
 
@@ -348,27 +334,6 @@ def _i_level_kinds(
     return tuple(kind for kind, ok in (("equal", equal), ("plus", 1 in cycle_signs)) if ok)
 
 
-def _credit(subset: frozenset[int], arcs: list[tuple[int, int, int]]) -> dict[int, int]:
-    """Per state q of F, the least counter from which a walk on ``arcs`` that
-    stays >= 1 climbs forever; meaningful when F has a positive cycle.
-
-    One backward fixpoint from need = T everywhere, where counter T counts as
-    climbing; the module docstring argues T.
-    """
-    up = max(0, max(d for _, _, d in arcs))
-    down = max(0, -min(d for _, _, d in arcs))
-    need = dict.fromkeys(subset, (2 * len(subset) - 1) * down + len(subset) * up + 1)
-    changed = True
-    while changed:
-        changed = False
-        for q, t, d in arcs:
-            credit = need[t] - d  # need[q] becomes max(1, credit) if that is lower
-            if credit < need[q] and need[q] > 1:
-                need[q] = max(1, credit)
-                changed = True
-    return need
-
-
 def _i_level_dips(
     subset: frozenset[int], edges: dict[int, list[tuple[str, int, int]]]
 ) -> dict[str, dict[int, int]]:
@@ -381,10 +346,10 @@ def _i_level_dips(
         low = min(tight_potential.values())
         dips["equal"] = {a: p - low for a, p in tight_potential.items()}
     if 1 in cycle_signs:
-        need = _credit(subset, arcs)
+        need = credit(subset, arcs)
         dips["plus"] = {a: need[a] - 1 for a in subset}
         if -1 in cycle_signs:
-            back = _credit(subset, [(t, s, -d) for s, t, d in arcs])
+            back = credit(subset, [(t, s, -d) for s, t, d in arcs])
             dips["equal"] = {a: max(need[a], back[a]) - 1 for a in subset}
     return dips
 

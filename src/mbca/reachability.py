@@ -1,9 +1,10 @@
-"""Reachable counter sets per state: exact bounded core plus pumped tails.
+"""Reachable counter sets per state, and backward cover tables.
 
-The bounded core is every configuration reachable from the start along a path
-whose counters stay at or below the cap start + B, with the cutoff
-B = (|K|+1) * (max positive delta + 1) * (|K|+2), which is conservative for
-desk-scale machines.  Unboundedness at a state is witnessed by a positive
+A forward analysis, ``ReachAnalysis``, gives the exact bounded core plus
+pumped tails.  The bounded core is every configuration reachable from the
+start along a path whose counters stay at or below the cap start + B, with
+the cutoff B = (|K|+1) * (max positive delta + 1) * (|K|+2), which is
+conservative for desk-scale machines.  Unboundedness at a state is witnessed by a positive
 cycle somewhere en route; tails are reported as a single arithmetic
 progression whose threshold sits above the finite picture and whose period is
 the gcd of the cycle gains combinable at one pump state (a Frobenius slack
@@ -14,7 +15,11 @@ when (state, c) is reachable, and runs a worklist of each state's new bits to
 its fixpoint: a Z-level move fires from bit 0 and lands at its delta if that
 is within the cap, an I-level move shifts every bit above 0 by its delta,
 masked to the cap.  The main set (and its highest value per state), the pump
-gains and the tail arrivals are all read off such bitsets.
+gains and the tail arrivals are all read off such bitsets.  A pump keeps its
+gains as one too, bit g set for gain g: ``_gcd_of`` reads their gcd off the
+set bits and stops once every set bit is a multiple of it, and the gains are
+listed only where a search needs them, for ``path_to`` and for the Frobenius
+slack when the least gain is not the gcd.
 
 Before a state's new bits move on, each summarised closed I-level walk through
 it is accelerated.  A walk, read from that state, has a gain g != 0, a
@@ -44,6 +49,33 @@ stay under E in size, so P C^L Q lies in the box.  Conversely a closed walk
 of sign s is a sum of simple cycles of S, one of them of sign s.  So q has a
 summary of sign s iff its SCC has a simple cycle of sign s.
 
+Cover tables.  Whether a run from (q, c) reaches (t, >= f) is one-counter
+coverability (Abdulla, Cerans, Jonsson & Tsay, LICS 1996; Bouyer, Fahrenberg,
+Larsen, Markey & Srba, FORMATS 2008).  Blindness makes the answer
+upward-closed in c, so one table need[q] per target (t, f) answers it for every
+source: the least c that works, infinite if none does.  It is the least
+fixpoint of three rules:
+- need[t] = f;
+- need[q] = min over I-edges (q, t', d) of max(1, need[t'] - d), as a run
+  at c >= 1 moves by I-edges only;
+- need[q] = 0 if some Z-edge (q, t', d) has need[t'] <= d.
+``_cover`` starts from need = inf except at t and relaxes the in-edges of each
+state whose need fell.  It ends because needs only fall and stay >= 0, and
+soon: the first finite need of a state comes from an edge into a state whose
+need was already finite, and I-level deltas are >= -1, so it is at most one
+more than that one's (and at least 1).  Along the tree of these first
+assignments, every finite need is thus at most max(1, f) + |K| - 1, and each
+state's need falls at most that many times.  A run from (q, c) reaches a state
+at unboundedly many counters iff it reaches some pump state p (one with a
+positive summary) with p's credit, ``automaton.credit`` on p's I-level SCC,
+and p reaches that state in the I-level graph (``tail_states``).  From the
+credit the run climbs forever, then walks down to the state.  Conversely, a
+run that reaches the state high enough passes, at more than |K| rising levels
+spaced d+1 apart, a last point below each level, so two of them share a state
+x with the later one higher and everything between above 1: a positive closed
+walk at x, which thus is a pump reached with its credit, and Z-edges have
+I-level twins, so x reaches the state in the I-level graph.
+
 Every search runs on the machine's compiled form ``Mbca.moves``, over
 (state index, counter) pairs; names appear only in the results.  An analysis
 keeps its answers, not its search trees.  The explicit breadth-first search
@@ -57,9 +89,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd
+from math import gcd, inf
 
-from .automaton import Configuration, Mbca, MbcaError, Moves, memo, potentials, sccs
+from .automaton import Configuration, Mbca, MbcaError, Moves, closure, credit, memo, potentials, sccs
 
 
 class UnreachableTarget(MbcaError):
@@ -256,9 +288,9 @@ def _bfs(moves: Moves, start: tuple[int, int], cap: int, targets) -> list[list[s
 class ReachAnalysis:
     """reach() result plus the pump parameters that rebuild witness paths.
 
-    Only answers are kept: the counter bitsets, each pump's (hi, gains, sat)
-    and each tail's (pump, arrival counter).  ``path_to`` searches for the
-    configurations those answers name.
+    Only answers are kept: the counter bitsets, each pump's (hi, gains, sat),
+    its gains a bitset too, and each tail's (pump, arrival counter).
+    ``path_to`` searches for the configurations those answers name.
     """
 
     def __init__(self, machine: Mbca, start: Configuration):
@@ -269,7 +301,7 @@ class ReachAnalysis:
         self._b = b = cutoff(machine)
         self._cap = start.counter + b
         found = _reach_bits(moves, cycles, self._start, self._cap)
-        self._pumps: dict[int, tuple[int, list[int], int]] = {}
+        self._pumps: dict[int, tuple[int, int, int]] = {}
         tails: dict[int, tuple[tuple[int, int], int, int | None]] = {}
         for p in _pump_states(cycles):
             # any iterable positive cycle is valid from some explored
@@ -277,11 +309,10 @@ class ReachAnalysis:
             if not found[p]:
                 continue
             hi = found[p].bit_length() - 1
-            above = _reach_bits(moves, cycles, (p, hi), hi + b)[p] >> (hi + 1)
-            gains = [c + 1 for c in _values(above)]
+            gains = _reach_bits(moves, cycles, (p, hi), hi + b)[p] >> hi & ~1  # bit g: gain g
             if not gains:
                 continue
-            g = gcd(*gains)
+            g = _gcd_of(gains)
             slack = _semigroup_slack(gains, g)
             sat = hi + slack + (b // g + 1) * g
             self._pumps[p] = (hi, gains, sat)
@@ -330,7 +361,7 @@ class ReachAnalysis:
             need = target.counter - hi
         else:
             need = target.counter - arrival + (sat - hi)
-        combo = sorted(_gain_combo(gains, need).items())
+        combo = sorted(_gain_combo(_values(gains), need).items())
         letters = _bfs(moves, self._start, self._cap, [(p, hi)])[0]
         trips = _bfs(moves, (p, hi), hi + b, [(p, hi + gain) for gain, _ in combo])
         for (_, count), trip in zip(combo, trips):
@@ -340,10 +371,29 @@ class ReachAnalysis:
         return letters
 
 
-def _semigroup_slack(gains: list[int], g: int) -> int:
-    """Least bound past which every multiple of g is a sum of gains."""
-    if gains[0] == g:
+def _gcd_of(gains: int) -> int:
+    """The gcd of the set bits' positions, which are all >= 1.
+
+    Each round folds in the least position that is not a multiple of the gcd
+    so far and clears every multiple of the new one, so the gcd falls to a
+    proper divisor each round and the rounds are few.
+    """
+    g, width = 0, gains.bit_length()
+    while gains:
+        g = gcd(g, _low_bit(gains))
+        multiples, span = 1, g  # bits 0, g, 2g, ... below width
+        while span < width:
+            multiples |= multiples << span
+            span <<= 1
+        gains &= ~multiples
+    return g
+
+
+def _semigroup_slack(gain_bits: int, g: int) -> int:
+    """Least bound past which every multiple of g is a sum of gains (bit c: gain c)."""
+    if _low_bit(gain_bits) == g:
         return 0
+    gains = _values(gain_bits)
     cap = gains[0] * gains[-1]
     mask = (1 << (cap + 1)) - 1
     representable = 1
@@ -401,6 +451,89 @@ def _gain_combo(gains: list[int], need: int) -> dict[int, int]:
     return combo
 
 
+def _backward(moves: Moves):
+    """Per state x, its incoming I-edges and Z-edges as (source, delta) lists."""
+    n = len(moves.pos)
+    into_pos: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    into_zero: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for into, rows in ((into_pos, moves.pos), (into_zero, moves.zero)):
+        for q, edges in enumerate(rows):
+            for _, t, d in edges:
+                into[t].append((q, d))
+    return into_pos, into_zero
+
+
+def _cover(moves: Moves, back, target: int, floor: int) -> tuple[float, ...]:
+    """need[q]: the least c from which (q, c) reaches (target, >= floor); inf if none.
+
+    The least fixpoint of the module docstring's three rules, by a worklist of
+    the states whose need fell.
+    """
+    into_pos, into_zero = back
+    need = [inf] * len(moves.pos)
+    need[target] = floor
+    work = [target]
+    while work:
+        x = work.pop()
+        here = need[x]
+        for q, d in into_pos[x]:
+            offer = max(1, here - d)
+            if offer < need[q]:
+                need[q] = offer
+                work.append(q)
+        for q, d in into_zero[x]:
+            if here <= d and need[q]:
+                need[q] = 0
+                work.append(q)
+    return tuple(need)
+
+
+def cover(machine: Mbca, state: str, floor: int) -> tuple[float, ...]:
+    """Per state index, the least counter from which a run reaches ``state``
+    with a counter of at least ``floor`` (``inf`` where no counter does)."""
+    moves = machine.moves
+
+    def build():
+        back = memo(machine, "backward", lambda: _backward(moves))
+        return _cover(moves, back, moves.index[state], floor)
+
+    return memo(machine, ("cover", state, floor), build)
+
+
+def covers(machine: Mbca, source: Configuration, state: str, floor: int) -> bool:
+    """Whether a run from ``source`` reaches ``state`` with a counter >= ``floor``."""
+    return source.counter >= cover(machine, state, floor)[machine.moves.index[source.state]]
+
+
+def _pump_credits(machine: Mbca) -> tuple[tuple[str, int, frozenset[str]], ...]:
+    """Per pump state p: its credit (``automaton.credit`` on p's I-level SCC)
+    and the states of the I-level graph that p reaches, p included."""
+    moves = machine.moves
+    cycles = memo(machine, "cycles", lambda: _cycles(moves))
+    pumps = set(_pump_states(cycles))
+    n = len(moves.pos)
+    adj = {q: {t for _, t, _ in moves.pos[q]} for q in range(n)}
+    found = []
+    for scc in sccs(range(n), adj):
+        if not pumps & scc:
+            continue
+        need = credit(scc, [(q, t, d) for q in scc for _, t, d in moves.pos[q] if t in scc])
+        below = frozenset(machine.states[t] for t in closure(min(scc), range(n), adj))
+        found += [(p, need[p], below) for p in pumps & scc]
+    return tuple((machine.states[p], c, below) for p, c, below in sorted(found))
+
+
+def tail_states(machine: Mbca, source: Configuration) -> frozenset[str]:
+    """The states a run from ``source`` reaches at unboundedly many counters:
+    those below a pump state that it reaches with the pump's credit."""
+    pumps = memo(machine, "pump credits", lambda: _pump_credits(machine))
+    reached: frozenset[str] = frozenset()
+    for p, need, below in pumps:
+        if not below <= reached and covers(machine, source, p, need):
+            reached |= below
+    return reached
+
+
 def analysis(machine: Mbca, start: Configuration) -> ReachAnalysis:
     return memo(machine, ("reach", start), lambda: ReachAnalysis(machine, start))
 
@@ -422,9 +555,15 @@ def min_counter_to(
 ) -> dict[str, int | None]:
     """Least starting counter per source state satisfying every predicate.
 
-    Each predicate is a function of the :class:`ReachSet` seen from (q, c);
-    blindness makes satisfaction upward-closed in c, so a binary search finds
-    the boundary.  ``None`` marks states where no counter up to the cap works.
+    Each predicate is a function of the :class:`ReachSet` seen from (q, c),
+    and must be monotone in it: a predicate that holds of a reach set holds of
+    every larger one.  Blindness makes reach sets grow with c, so satisfaction
+    is then upward-closed in c, and the search rests on that.  The cap is
+    probed first, and ``None`` marks states where no counter up to it works.
+    Otherwise the search gallops over the counters 0, 1, 3, 7, ... to the
+    first satisfied one and bisects below it, so a low answer costs few
+    probes, and low probes are the cheap ones: an analysis from (q, c)
+    explores counters up to c + ``cutoff``.
     """
     if callable(predicates):
         predicates = [predicates]
@@ -439,8 +578,10 @@ def min_counter_to(
         if not satisfied(q, cap):
             result[q] = None
             continue
-        lo, hi = 0, cap  # upward-closed in c: binary search the boundary
-        while lo < hi:
+        lo, hi = 0, 0  # gallop over 0, 1, 3, 7, ... to a satisfied counter
+        while hi < cap and not satisfied(q, hi):
+            lo, hi = hi + 1, min(2 * hi + 1, cap)
+        while lo < hi:  # upward-closed in c: bisect below it
             mid = (lo + hi) // 2
             if satisfied(q, mid):
                 hi = mid

@@ -17,7 +17,7 @@ from mbca import (
     validate,
     wadge_name,
 )
-from mbca import naming
+from mbca import automaton, naming, reachability
 from mbca.gallery import canonical
 from mbca.naming import DerivationContext, NameBlock, check_name
 from conftest import duplicate_state, random_counter_free, random_machine
@@ -410,3 +410,61 @@ def test_derived_names_invariant_under_renaming_and_reordering(spec):
     machine = canonical(spec)
     for seed in range(3):
         assert wadge_name(_renamed_and_reordered(machine, random.Random(seed))) == wadge_name(machine)
+
+
+def _with_complemented_family(machine):
+    """The machine accepting by every nonempty state set its family lacks."""
+    states = machine.states
+    subsets = (
+        frozenset(q for i, q in enumerate(states) if bits >> i & 1)
+        for bits in range(1, 1 << len(states))
+    )
+    family = [f for f in subsets if f not in machine.accept_family]
+    return validate(
+        machine.name, machine.alphabet, states, machine.initial, machine.transitions, family
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 7), st.integers(1, 3))
+def test_complementing_the_accept_family_dualizes_the_name(seed, n_states, max_delta):
+    """Every sign flips, so C and D swap in every block; E blocks and a bare-E
+    ending stay.  Machines whose naming hits a known internal error (the
+    strict xfails above) are passed over."""
+    machine = random_machine(random.Random(seed), n_states, max_delta=max_delta)
+    try:
+        name = wadge_name(machine)
+        dual = wadge_name(_with_complemented_family(machine))
+    except MbcaError as error:
+        if str(error).startswith("internal error"):
+            return
+        raise
+    swap = {"C": "D", "D": "C", "E": "E"}
+    assert dual.blocks == tuple(b._replace(letter=swap[b.letter]) for b in name.blocks)
+
+
+# (ReachAnalysis constructions, reach probes of min_counter_to) in a cold name,
+# as measured when ``Analyzer._seen`` moved to cover tables
+COLD_COSTS = {"C_1^w*3+3": (1, 0), "E_2^w*2": (22, 22), "E_4^w*2": (38, 38)}
+
+
+def test_a_cold_name_costs_no_more_analyses_or_probes(monkeypatch):
+    counts = {"analyses": 0, "probes": 0}
+    build, probe = reachability.ReachAnalysis.__init__, reachability.reach
+
+    def counted_build(self, *args):
+        counts["analyses"] += 1
+        build(self, *args)
+
+    def counted_probe(*args):
+        counts["probes"] += 1
+        return probe(*args)
+
+    monkeypatch.setattr(reachability.ReachAnalysis, "__init__", counted_build)
+    monkeypatch.setattr(reachability, "reach", counted_probe)
+    for spec, (analyses, probes) in COLD_COSTS.items():
+        machine = canonical(spec)
+        monkeypatch.setattr(automaton, "_memo", {})
+        counts.update(analyses=0, probes=0)
+        wadge_name(machine)
+        assert counts["analyses"] <= analyses and counts["probes"] <= probes, (spec, counts)

@@ -1,10 +1,12 @@
 import random
+from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
 from mbca import Configuration, StateReach, min_counter_to, reach, reachable_unbounded, validate
 from mbca.reachability import (
-    UnreachableTarget, _cycles, _gain_combo, _pump_states, _reach_bits, analysis, cutoff,
+    UnreachableTarget, _cycles, _gain_combo, _gcd_of, _pump_states, _reach_bits, analysis, cover,
+    cutoff, tail_states,
 )
 from conftest import bfs_reach_oracle, random_machine
 
@@ -356,3 +358,109 @@ def test_min_counter_threshold_boundary():
 
     out = min_counter_to(machine, reaches_t, sources=["s"])
     assert out["s"] == 3
+
+
+def _covers_in_bfs(machine, state: str, counter: int, target: str, floor: int, cap: int) -> bool:
+    reached = bfs_reach_oracle(machine, Configuration(state, counter), cap)
+    return any(v >= floor for v in reached.get(target, ()))
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(0, 2**32), st.integers(2, 7), st.integers(1, 3), st.integers(0, 4), st.data()
+)
+def test_cover_tables_match_the_bfs_oracle(seed, n_states, max_delta, floor, data):
+    """From (q, need[q]) a run reaches (t, >= f), and from (q, need[q] - 1)
+    none does.  The oracle's cap, the counter plus f plus ``cutoff``, is
+    generous; a run found under any cap is a run, so the second half is exact."""
+    machine = random_machine(random.Random(seed), n_states, max_delta=max_delta)
+    target = data.draw(st.sampled_from(machine.states))
+    high = cutoff(machine)
+    for q, need in zip(machine.states, cover(machine, target, floor)):
+        if need == float("inf"):
+            assert not _covers_in_bfs(machine, q, high, target, floor, 2 * high + floor), (machine, q)
+            continue
+        assert _covers_in_bfs(machine, q, need, target, floor, need + floor + high), (machine, q)
+        if need:
+            assert not _covers_in_bfs(machine, q, need - 1, target, floor, need + floor + high)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 2**32), st.integers(2, 7), st.integers(1, 3), st.integers(0, 3), st.data())
+def test_tail_states_match_the_bfs_oracle(seed, n_states, max_delta, counter, data):
+    """A run from the source reaches exactly the tail states above H, the
+    source counter plus ``cutoff``: above that, a run has passed more than
+    |K| rising levels d+1 apart, so it repeats a state higher and can pump."""
+    machine = random_machine(random.Random(seed), n_states, max_delta=max_delta)
+    source = Configuration(data.draw(st.sampled_from(machine.states)), counter)
+    high = counter + cutoff(machine)
+    reached = bfs_reach_oracle(machine, source, 2 * high + cutoff(machine))
+    want = {q for q, values in reached.items() if max(values) >= high}
+    assert tail_states(machine, source) == want, machine
+
+
+def test_a_pump_below_its_credit_has_no_tail():
+    """p -a,-1-> r -b,+2-> p gains 1 a round, but from (p, 1) the a lands at
+    (r, 0), where b has no Z entry: the pump needs credit 2."""
+    machine = validate(
+        "credit2", ["a", "b"], ["p", "r"], "p",
+        [("p", "a", "I", "r", -1), ("r", "b", "I", "p", 2)],
+        [],
+    )
+    assert tail_states(machine, Configuration("p", 1)) == frozenset()
+    assert tail_states(machine, Configuration("p", 2)) == {"p", "r"}
+    assert reach(machine, Configuration("p", 1)).at("p").tail is None
+    assert reach(machine, Configuration("p", 2)).at("p").tail is not None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sets(st.integers(1, 300), min_size=1, max_size=8))
+def test_gcd_of_reads_the_gcd_of_the_set_bits(gains):
+    assert _gcd_of(sum(1 << g for g in gains)) == gcd(*gains)
+
+
+def _bisection(machine, predicates, sources=None, extra_cap=0):
+    """``min_counter_to`` before it galloped: probe the cap, then bisect [0, cap]."""
+    if callable(predicates):
+        predicates = [predicates]
+    cap = cutoff(machine) + extra_cap + 1
+
+    def satisfied(q, c):
+        rs = reach(machine, Configuration(q, c))
+        return all(pred(rs) for pred in predicates)
+
+    result = {}
+    for q in sources if sources is not None else machine.states:
+        if not satisfied(q, cap):
+            result[q] = None
+            continue
+        lo, hi = 0, cap
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if satisfied(q, mid):
+                hi = mid
+            else:
+                lo = mid + 1
+        result[q] = lo
+    return result
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32), st.integers(2, 6), st.integers(1, 3), st.data())
+def test_min_counter_to_gallop_equals_bisection(seed, n_states, max_delta, data):
+    """Derive's predicates, "reaches (t, >= f) for one of the options", per sign.
+
+    Predicates must be monotone in the reach set: one that holds of a reach
+    set holds of every larger one.  Both searches rely on it, since reach
+    sets grow with the start counter and so satisfaction is upward-closed."""
+    machine = random_machine(random.Random(seed), n_states, max_delta=max_delta)
+    option = st.tuples(st.sampled_from(machine.states), st.integers(0, 3))
+    signs = [data.draw(st.lists(option, min_size=1, max_size=3)) for _ in range(2)]
+
+    def pred_for(options):
+        return lambda rs: any(rs.at(q).has_value_at_least(f) for q, f in options)
+
+    predicates = [pred_for(options) for options in signs]
+    extra = max(f for options in signs for _, f in options)
+    want = _bisection(machine, predicates, extra_cap=extra)
+    assert min_counter_to(machine, predicates, extra_cap=extra) == want
