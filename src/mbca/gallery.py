@@ -20,13 +20,13 @@ every Z entry at I level.  Let k be the number of states.
 
 1. With m = 1 every site has chain length 1, so every site is a maximal site.
 2. Take a superchain whose omega part is a chain of links, the first being
-   (P, N, dp, dn).  The link needs ``init.at(dp.anchor).tail``, so the anchor
-   a = dp.anchor is reached with unbounded counters.  The counter rises by at
-   most d+ per step, so a run reaching a at a high enough counter repeats a
-   state at a higher counter while staying above k in between.  Between the
-   repeats, some simple cycle C gains.  C has at most k steps and is a pump:
-   iterated from a counter above k it never blocks.  Its states form an
-   essential set, inside some site S.
+   (P, N, dp, dn).  The link needs dp.anchor in ``tail_states(initial)``, so
+   the anchor a = dp.anchor is reached with unbounded counters.  The counter
+   rises by at most d+ per step, so a run reaching a at a high enough counter
+   repeats a state at a higher counter while staying above k in between.
+   Between the repeats, some simple cycle C gains.  C has at most k steps and
+   is a pump: iterated from a counter above k it never blocks.  Its states
+   form an essential set, inside some site S.
 3. S is not blocked by ``_prefix_allowed``.  Suppose the ``_seen`` record of
    a high source of some link L of the chain operates a loop of S: L reaches
    an anchor of S at its operating counter.  Every state of a link lies on
@@ -39,7 +39,7 @@ every Z entry at I level.  Let k be the number of states.
    which contradicts P being a maximal essential set.  This covers S = P or
    S = N too.
 4. S may end the prefix.  Every anchor of S has a tail, through C, so
-   ``loop_sources(S)`` start at or above ``high_floor``, which exceeds 2k.
+   ``loop_sources(S)`` are sources at counter inf (arbitrarily high).
    From there at most k steps inside S reach C, and pumping, then the run of
    step 2, reaches a with unbounded counters: a is among the tail states of
    the ``_seen`` record of a source of S, as ``_alternating_paths`` requires.

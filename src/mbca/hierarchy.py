@@ -14,7 +14,11 @@ Every reachability question of the assembly is set algebra on one cached
 record per source configuration, ``Analyzer._seen``: the maximal-site loops a
 run from the source operates and the states it reaches with a tail.  The
 record is read off backward cover tables (``reachability.cover``), one per
-target shared by every source, so no source needs a forward analysis.  One
+target shared by every source, so no source needs a forward analysis.  "High"
+is the counter ``math.inf``: a source at counter inf covers exactly the
+targets of finite need, which is what every high enough counter covers, since
+tables are upward-closed.  A source's counter comes from ``Analyzer._entry``,
+which reads the same tables and ``reachability.tail_states``.  One
 walker, ``_simple_paths``, yields both the link chains and the alternating
 site paths in depth-first preorder, and one pass over the essential sets keeps
 each set's first longest chain per first sign.
@@ -24,10 +28,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import total_ordering, wraps
+from math import inf
 
 from .automaton import LEVEL_POS, Configuration, Mbca, memo
 from .loops import LoopDescriptor, admissible, loops
-from .reachability import analysis, covers, cutoff, tail_states
+from .reachability import covers, tail_states
 
 
 @total_ordering
@@ -249,28 +254,31 @@ class Analyzer:
     # -- what a run from a source can do ------------------------------------
 
     @_cached
-    def initial_reach(self):
-        return analysis(self.machine, self.machine.initial_configuration())
+    def _initial_tails(self) -> frozenset[str]:
+        return tail_states(self.machine, self.machine.initial_configuration())
 
-    def high_floor(self) -> int:
-        """The counter from which a source stands for "arbitrarily high".
+    @_cached
+    def _entry(self, state: str, floor: int) -> float | None:
+        """The highest counter at which the initial configuration reaches
+        ``state`` at or above ``floor``: ``inf`` for a tail state, ``None``
+        where no run reaches it that high.
 
-        ``_seen`` reads exact cover tables, so a source at counter c sees what
-        every higher source sees once c is at least each finite need of the
-        tables it reads: those of each maximal-site loop's (anchor, operating
-        minimum) and of each pump state's credit.  With k states, a finite
-        need of the table of (t, f) is at most max(1, f) + k - 1 (the
-        ``reachability`` module docstring).  A credit is at most 2k - 1
-        (``automaton.credit``, I-level deltas being >= -1), and an operating
-        minimum that comes from a dip is at most (2k - 1) * max(d+, 1) + 1
-        (the ``loops`` module docstring's rules).  Both plus k - 1 stay
-        below ``cutoff``.  A derivation threshold has no such bound, so
-        ``test_high_floor_is_at_least_every_finite_need`` checks the floor
-        against every finite need on the reference machines, derived
-        analyzers included.
+        Otherwise the scan raises f while a run still reaches ``state`` at
+        f + 1 or above.  It ends: ``tail_states`` holds exactly the states
+        reached at unboundedly many counters (the ``reachability`` module
+        docstring), so a state outside it is reached at only finitely many,
+        and some f + 1 lies above them all.
         """
-        k = len(self.machine.states)
-        return cutoff(self.machine) + k * (self.machine.max_positive_delta() + 2)
+        if state in self._initial_tails():
+            return inf
+        machine = self.machine
+        init = machine.initial_configuration()
+        if not covers(machine, init, state, floor):
+            return None
+        f = floor
+        while covers(machine, init, state, f + 1):
+            f += 1
+        return f
 
     def operating_min(self, d: LoopDescriptor) -> int:
         return max(d.min_anchor_counter, self.threshold(d.anchor))
@@ -280,39 +288,23 @@ class Analyzer:
         """Configurations from which everything reachable while iterating some
         admissible loop of the set is reachable (highest known entry points).
 
-        An anchor reached with a tail is entered at ``high_floor`` or above;
-        otherwise at its highest reachable counter.  A ``plus`` loop's anchor
-        always has the tail: the loop is admissible, so its anchor is reached
-        at or above its operating minimum, which is at least dip + 1, and
-        iterating the loop from there reaches the anchor at unboundedly many
-        counters.
+        Each anchor reached at or above its operating minimum is entered at
+        ``_entry``: counter inf, standing for "arbitrarily high", when it is
+        reached with a tail, else its highest reachable counter.  A ``plus``
+        loop's anchor always has the tail: the loop is admissible, so its
+        anchor is reached at or above its operating minimum, which is at
+        least dip + 1, and iterating the loop from there reaches the anchor at
+        unboundedly many counters.
         """
-        sources = []
-        high = self.high_floor()
-        for d in self.descriptors(essential_set):
-            opmin = self.operating_min(d)
-            sr = self.initial_reach().reach_set.at(d.anchor)
-            entry = sr.least_value_at_least(opmin)
-            if entry is None:
-                continue
-            if sr.tail is not None:
-                entry = sr.least_value_at_least(max(opmin, high))
-            else:
-                entry = sr.max_finite()  # at least opmin, since entry was found
-            sources.append(Configuration(d.anchor, entry))
-        return tuple(sources)
+        entries = (
+            (d.anchor, self._entry(d.anchor, self.operating_min(d)))
+            for d in self.descriptors(essential_set)
+        )
+        return tuple(Configuration(a, e) for a, e in entries if e is not None)
 
     def _link_high_sources(self, link: OmegaLink) -> list[Configuration]:
-        init = self.initial_reach().reach_set
-        high = self.high_floor()
-        sources = []
-        for s in sorted(link.states()):
-            sr = init.at(s)
-            if sr.tail is not None:
-                sources.append(Configuration(s, sr.least_value_at_least(high)))
-            elif sr.bits:
-                sources.append(Configuration(s, sr.max_finite()))
-        return sources
+        entries = ((s, self._entry(s, 0)) for s in sorted(link.states()))
+        return [Configuration(s, e) for s, e in entries if e is not None]
 
     @_cached
     def _seen(self, source: Configuration) -> tuple[frozenset[int], frozenset[str]]:
@@ -346,9 +338,9 @@ class Analyzer:
     @_cached
     def links(self) -> tuple[OmegaLink, ...]:
         """Per pair of a positive and a negative maximal site, the first pair of
-        their I-level equal loops, anchored with a tail, each operated from a
-        high source at the other's anchor."""
-        init = self.initial_reach().reach_set
+        their I-level equal loops, anchored with a tail, each operated from
+        the other's anchor at counter inf."""
+        tails = self._initial_tails()
         descs = self.admissible_loops()
         sites = self.max_sites()
         pos = [f for f in sites if "positive" in self.site_first_signs(f)]
@@ -356,13 +348,11 @@ class Analyzer:
         units: dict[frozenset[str], list[int]] = {f: [] for f in pos + neg}
         for i, d in enumerate(descs):
             if d.essential_set in units and d.level == LEVEL_POS and d.delta_kind == "equal":
-                if init.at(d.anchor).tail:
+                if d.anchor in tails:
                     units[d.essential_set].append(i)
 
         def operates(i: int, j: int) -> bool:
-            anchor = descs[i].anchor
-            high = init.at(anchor).least_value_at_least(self.high_floor())
-            return j in self._seen(Configuration(anchor, high))[0]
+            return j in self._seen(Configuration(descs[i].anchor, inf))[0]
 
         out = []
         for p_site in pos:

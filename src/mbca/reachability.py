@@ -53,7 +53,12 @@ Cover tables.  Whether a run from (q, c) reaches (t, >= f) is one-counter
 coverability (Abdulla, Cerans, Jonsson & Tsay, LICS 1996; Bouyer, Fahrenberg,
 Larsen, Markey & Srba, FORMATS 2008).  Blindness makes the answer
 upward-closed in c, so one table need[q] per target (t, f) answers it for every
-source: the least c that works, infinite if none does.  It is the least
+source: the least c that works, ``inf`` if none does.  A source may itself
+sit at counter ``inf``, standing for "arbitrarily high": it covers exactly
+the targets whose need is finite, as does every counter at or above the
+table's largest finite need.  ``covers`` guards that case, asking
+need < inf before counter >= need, since inf >= inf would have an ``inf``
+source cover a target that no counter reaches.  The table is the least
 fixpoint of three rules:
 - need[t] = f;
 - need[q] = min over I-edges (q, t', d) of max(1, need[t'] - d), as a run
@@ -501,8 +506,10 @@ def cover(machine: Mbca, state: str, floor: int) -> tuple[float, ...]:
 
 
 def covers(machine: Mbca, source: Configuration, state: str, floor: int) -> bool:
-    """Whether a run from ``source`` reaches ``state`` with a counter >= ``floor``."""
-    return source.counter >= cover(machine, state, floor)[machine.moves.index[source.state]]
+    """Whether a run from ``source`` reaches ``state`` with a counter >= ``floor``;
+    a source at counter ``inf`` covers exactly the targets of finite need."""
+    need = cover(machine, state, floor)[machine.moves.index[source.state]]
+    return need < inf and source.counter >= need
 
 
 def _pump_credits(machine: Mbca) -> tuple[tuple[str, int, frozenset[str]], ...]:

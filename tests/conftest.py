@@ -5,8 +5,10 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from mbca import Mbca, Transition, validate
+from mbca.gallery import canonical, gallery_box
 
 # -- reference machines -------------------------------------------------------
 
@@ -160,6 +162,42 @@ def random_counter_free(rng: random.Random, n_states: int = 3, n_letters: int = 
         if rng.random() < 0.3:
             family.append([states[i] for i in range(n_states) if bits >> i & 1])
     return validate("cf_rnd", letters, states, states[0], transitions, family)
+
+
+# every buildable C/D/E spec with m 1-2 and alpha from w to w*3+1
+TRANSFINITE_SPECS = gallery_box(
+    max_m=2, alphas=[f"w*{p}+{s}" for p in (1, 2, 3) for s in range(4) if (p, s) <= (3, 1)]
+)
+
+
+def perturbed_transfinite(pick) -> Mbca:
+    """A canonical machine of ``TRANSFINITE_SPECS`` plus 1-4 arcs on fresh
+    letters between random states, deltas -1..1, each with a Z twin at random
+    when its delta is >= 0, so blindness holds.  ``pick(lo, hi)`` draws an
+    integer in [lo, hi]."""
+    machine = canonical(TRANSFINITE_SPECS[pick(0, len(TRANSFINITE_SPECS) - 1)])
+    states, transitions = machine.states, list(machine.transitions)
+    fresh = [f"f{i}" for i in range(pick(1, 4))]
+    for letter in fresh:
+        source, target = (states[pick(0, len(states) - 1)] for _ in range(2))
+        delta = pick(-1, 1)
+        transitions.append(Transition(source, letter, "I", target, delta))
+        if delta >= 0 and pick(0, 1):
+            transitions.append(Transition(source, letter, "Z", target, delta))
+    return validate(
+        machine.name + "+arcs",
+        machine.alphabet + tuple(fresh),
+        states,
+        machine.initial,
+        transitions,
+        [sorted(member) for member in machine.accept_family],
+    )
+
+
+@st.composite
+def transfinite_machines(draw) -> Mbca:
+    """``perturbed_transfinite`` drawn by hypothesis, so failures shrink."""
+    return perturbed_transfinite(lambda lo, hi: draw(st.integers(lo, hi)))
 
 
 # -- brute-force oracles ---------------------------------------------------------

@@ -248,3 +248,17 @@ def test_classify_imports_no_argument_parser():
         [sys.executable, "-c", script], cwd=root, env=env, capture_output=True, text=True, check=True
     )
     assert done.stdout.strip() == "0 []"
+
+
+def test_a_component_past_sixteen_states_is_a_one_line_error(capsys, tmp_path):
+    """A complete 17-state jump graph is one SCC past the candidate-set limit."""
+    states = [f"r{i}" for i in range(17)]
+    lines = ["mbca jump17", "alphabet " + " ".join(f"j{i}" for i in range(17))]
+    lines += ["states " + " ".join(states), "initial r0", "accept { r0 }"]
+    lines += [f"trans {q} j{i} {lv} {t} 0" for q in states for i, t in enumerate(states) for lv in "ZI"]
+    path = tmp_path / "jump17.mbca"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["classify", "--machine", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: candidate enumeration beyond desk scale (> 16 states in one SCC)\n"

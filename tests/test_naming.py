@@ -444,13 +444,15 @@ def test_complementing_the_accept_family_dualizes_the_name(seed, n_states, max_d
 
 
 # (ReachAnalysis constructions, reach probes of min_counter_to) in a cold name,
-# as measured when ``Analyzer._seen`` moved to cover tables
-COLD_COSTS = {"C_1^w*3+3": (1, 0), "E_2^w*2": (22, 22), "E_4^w*2": (38, 38)}
+# as measured when ``Analyzer._seen`` moved to cover tables, and cover-table
+# builds (``reachability._cover`` runs), as measured when the assembly's
+# "arbitrarily high" became counter inf
+COLD_COSTS = {"C_1^w*3+3": (1, 0, 21), "E_2^w*2": (22, 22, 36), "E_4^w*2": (38, 38, 68)}
 
 
 def test_a_cold_name_costs_no_more_analyses_or_probes(monkeypatch):
-    counts = {"analyses": 0, "probes": 0}
-    build, probe = reachability.ReachAnalysis.__init__, reachability.reach
+    counts = {"analyses": 0, "probes": 0, "covers": 0}
+    build, probe, table = reachability.ReachAnalysis.__init__, reachability.reach, reachability._cover
 
     def counted_build(self, *args):
         counts["analyses"] += 1
@@ -460,11 +462,17 @@ def test_a_cold_name_costs_no_more_analyses_or_probes(monkeypatch):
         counts["probes"] += 1
         return probe(*args)
 
+    def counted_table(*args):
+        counts["covers"] += 1
+        return table(*args)
+
     monkeypatch.setattr(reachability.ReachAnalysis, "__init__", counted_build)
     monkeypatch.setattr(reachability, "reach", counted_probe)
-    for spec, (analyses, probes) in COLD_COSTS.items():
+    monkeypatch.setattr(reachability, "_cover", counted_table)
+    for spec, (analyses, probes, covers) in COLD_COSTS.items():
         machine = canonical(spec)
         monkeypatch.setattr(automaton, "_memo", {})
-        counts.update(analyses=0, probes=0)
+        counts.update(analyses=0, probes=0, covers=0)
         wadge_name(machine)
         assert counts["analyses"] <= analyses and counts["probes"] <= probes, (spec, counts)
+        assert counts["covers"] <= covers, (spec, counts)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from mbca import Configuration, StateReach, min_counter_to, reach, reachable_unbounded, validate
 from mbca.reachability import (
     UnreachableTarget, _cycles, _gain_combo, _gcd_of, _pump_states, _reach_bits, analysis, cover,
-    cutoff, tail_states,
+    covers, cutoff, tail_states,
 )
 from conftest import bfs_reach_oracle, random_machine
 
@@ -383,6 +383,26 @@ def test_cover_tables_match_the_bfs_oracle(seed, n_states, max_delta, floor, dat
         assert _covers_in_bfs(machine, q, need, target, floor, need + floor + high), (machine, q)
         if need:
             assert not _covers_in_bfs(machine, q, need - 1, target, floor, need + floor + high)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 2**32), st.integers(2, 7), st.integers(1, 3), st.integers(0, 4), st.data())
+def test_a_source_at_counter_inf_covers_exactly_the_finite_needs(
+    seed, n_states, max_delta, floor, data
+):
+    """Counter ``inf`` stands for "arbitrarily high": it covers (t, f) from q
+    exactly when need[q] is finite, and so does every counter at or above the
+    table's largest finite need, since tables are upward-closed."""
+    machine = random_machine(random.Random(seed), n_states, max_delta=max_delta)
+    target = data.draw(st.sampled_from(machine.states))
+    table = cover(machine, target, floor)
+    top = max(need for need in table if need < float("inf"))  # need[t] = f is finite
+    above = [top, top + 1, data.draw(st.integers(top, top + 100))]
+    for q, need in zip(machine.states, table):
+        at_inf = covers(machine, Configuration(q, float("inf")), target, floor)
+        assert at_inf == (need < float("inf")), (machine, q)
+        for c in above:
+            assert covers(machine, Configuration(q, c), target, floor) == at_inf, (machine, q, c)
 
 
 @settings(max_examples=120, deadline=None)
