@@ -28,10 +28,10 @@ every Z entry at I level.  Let k be the number of states.
    is a pump: iterated from a counter above k it never blocks.  Its states
    form an essential set, inside some site S.
 3. S is not blocked by ``_prefix_allowed``.  Suppose the ``_seen`` record of
-   a high source of some link L of the chain operates a loop of S: L reaches
-   an anchor of S at its operating counter.  Every state of a link lies on
-   one of its loops, whose anchors have tails, so the link sources can be
-   taken higher, and so can everything they reach.  Hence from L one
+   the source of some link L of the chain operates a loop of S: L reaches an
+   anchor of S at its operating counter.  That source, L's positive anchor,
+   sits at counter inf, so everything it reaches can be taken higher, and
+   every state of L covers the same (``Analyzer.links``).  Hence from L one
    can walk to C above k, pump, follow the run of step 2 to a, walk the loops
    dp and dn of the first link, and follow the link chain back to L.  With
    enough pumps each round gains, so the round iterates forever.  Its Inf
@@ -39,12 +39,12 @@ every Z entry at I level.  Let k be the number of states.
    which contradicts P being a maximal essential set.  This covers S = P or
    S = N too.
 4. S may end the prefix.  Every anchor of S has a tail, through C, so
-   ``loop_sources(S)`` are sources at counter inf (arbitrarily high).
+   ``loop_source(S)`` is a source at counter inf (arbitrarily high).
    From there at most k steps inside S reach C, and pumping, then the run of
    step 2, reaches a with unbounded counters: a is among the tail states of
-   the ``_seen`` record of a source of S, as ``_alternating_paths`` requires.
-   (Those tail states are ``reachability.tail_states``, exactly the states
-   reached at unboundedly many counters.)
+   the ``_seen`` record of ``loop_source(S)``, as ``_alternating_paths``
+   requires.  (Those tail states are ``reachability.tail_states``, exactly
+   the states reached at unboundedly many counters.)
 5. So ``_alternating_paths`` keeps at least the one-site path S, and the
    chain gives a superchain of length w*p + s with s >= 1.  Every limit length
    w*p is thus beaten by w*p + 1, and n is never a limit when m = 1.

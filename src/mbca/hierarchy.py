@@ -17,7 +17,9 @@ record is read off backward cover tables (``reachability.cover``), one per
 target shared by every source, so no source needs a forward analysis.  "High"
 is the counter ``math.inf``: a source at counter inf covers exactly the
 targets of finite need, which is what every high enough counter covers, since
-tables are upward-closed.  A source's counter comes from ``Analyzer._entry``,
+tables are upward-closed.  Each essential set is read from one source,
+``Analyzer.loop_source``, and each link from ``OmegaLink.source``, as argued
+where they are defined.  A source's counter comes from ``Analyzer._entry``,
 which reads the same tables and ``reachability.tail_states``.  One
 walker, ``_simple_paths``, yields both the link chains and the alternating
 site paths in depth-first preorder, and one pass over the essential sets keeps
@@ -95,6 +97,12 @@ class OmegaLink:
 
     def states(self) -> frozenset[str]:
         return self.pos_site | self.neg_site
+
+    @property
+    def source(self) -> Configuration:
+        """The source the link is read from; ``Analyzer.links`` argues that
+        every state of the link, at counter inf, covers the same targets."""
+        return Configuration(self.pos_loop.anchor, inf)
 
 
 @dataclass(frozen=True)
@@ -258,10 +266,10 @@ class Analyzer:
         return tail_states(self.machine, self.machine.initial_configuration())
 
     @_cached
-    def _entry(self, state: str, floor: int) -> float | None:
+    def _entry(self, state: str, floor: int) -> float:
         """The highest counter at which the initial configuration reaches
-        ``state`` at or above ``floor``: ``inf`` for a tail state, ``None``
-        where no run reaches it that high.
+        ``state``, which it reaches at ``floor`` or above: ``inf`` for a tail
+        state.
 
         Otherwise the scan raises f while a run still reaches ``state`` at
         f + 1 or above.  It ends: ``tail_states`` holds exactly the states
@@ -271,12 +279,8 @@ class Analyzer:
         """
         if state in self._initial_tails():
             return inf
-        machine = self.machine
-        init = machine.initial_configuration()
-        if not covers(machine, init, state, floor):
-            return None
-        f = floor
-        while covers(machine, init, state, f + 1):
+        machine, f = self.machine, floor
+        while covers(machine, machine.initial_configuration(), state, f + 1):
             f += 1
         return f
 
@@ -284,27 +288,27 @@ class Analyzer:
         return max(d.min_anchor_counter, self.threshold(d.anchor))
 
     @_cached
-    def loop_sources(self, essential_set: frozenset[str]) -> tuple[Configuration, ...]:
-        """Configurations from which everything reachable while iterating some
-        admissible loop of the set is reachable (highest known entry points).
+    def loop_source(self, essential_set: frozenset[str]) -> Configuration:
+        """The configuration from which everything reachable while iterating
+        an admissible loop of the set is reachable: the first loop's anchor,
+        entered at ``_entry`` (counter inf, "arbitrarily high", for a tail
+        state).  A ``plus`` loop's anchor is a tail state: it is reached at
+        or above the operating minimum, at least dip + 1, and iterating the
+        loop from there reaches it at unboundedly many counters.
 
-        Each anchor reached at or above its operating minimum is entered at
-        ``_entry``: counter inf, standing for "arbitrarily high", when it is
-        reached with a tail, else its highest reachable counter.  A ``plus``
-        loop's anchor always has the tail: the loop is admissible, so its
-        anchor is reached at or above its operating minimum, which is at
-        least dip + 1, and iterating the loop from there reaches the anchor at
-        unboundedly many counters.
+        Any loop's anchor would do: they all cover the same targets.  Let x
+        and y anchor admissible loops of F, entered at e_x and e_y.  Blindness
+        makes an upward shift of a run a run, so y's loop runs from (y, e_y).
+        It visits x at counter e_y + g1, which the initial configuration
+        reaches, so e_y + g1 <= e_x.  The rest of the loop, from x back to y,
+        gains g2 with g1 + g2 >= 0; shifted up, it runs from (x, e_x) and
+        reaches y at a counter of at least e_y.  Cover tables are
+        upward-closed, so (x, e_x) covers everything (y, e_y) covers, and
+        symmetrically.  If one anchor is a tail state, so is every anchor,
+        and every entry is inf.
         """
-        entries = (
-            (d.anchor, self._entry(d.anchor, self.operating_min(d)))
-            for d in self.descriptors(essential_set)
-        )
-        return tuple(Configuration(a, e) for a, e in entries if e is not None)
-
-    def _link_high_sources(self, link: OmegaLink) -> list[Configuration]:
-        entries = ((s, self._entry(s, 0)) for s in sorted(link.states()))
-        return [Configuration(s, e) for s, e in entries if e is not None]
+        d = self.descriptors(essential_set)[0]
+        return Configuration(d.anchor, self._entry(d.anchor, self.operating_min(d)))
 
     @_cached
     def _seen(self, source: Configuration) -> tuple[frozenset[int], frozenset[str]]:
@@ -323,15 +327,10 @@ class Analyzer:
         )
         return operated, tail_states(self.machine, source)
 
-    def _operated_sites(self, sources, wanted: set) -> set[frozenset[str]]:
-        """The ``wanted`` sites with a loop that a run from one of ``sources``
-        operates; sources are read in order, only until every one is found."""
-        descs, found = self.admissible_loops(), set()
-        for src in sources:
-            if found >= wanted:
-                break
-            found |= {descs[i].essential_set for i in self._seen(src)[0]}
-        return found & wanted
+    def _operated_sites(self, source: Configuration) -> set[frozenset[str]]:
+        """The maximal sites with a loop that a run from ``source`` operates."""
+        descs = self.admissible_loops()
+        return {descs[i].essential_set for i in self._seen(source)[0]}
 
     # -- omega structure ----------------------------------------------------
 
@@ -339,7 +338,16 @@ class Analyzer:
     def links(self) -> tuple[OmegaLink, ...]:
         """Per pair of a positive and a negative maximal site, the first pair of
         their I-level equal loops, anchored with a tail, each operated from
-        the other's anchor at counter inf."""
+        the other's anchor at counter inf.
+
+        Every state of a link, at counter inf, covers what its ``source``
+        covers.  Both sites are strongly connected in the I-level graph and
+        their linked anchors are tail states, so every link state is a tail
+        state, entered at inf.  From any link state at inf a run reaches its
+        own site's anchor, hence, by the operation the link records, the
+        other site's anchor, at arbitrarily high counters; and back.  So every
+        link state has the same ``_seen`` record.
+        """
         tails = self._initial_tails()
         descs = self.admissible_loops()
         sites = self.max_sites()
@@ -374,12 +382,7 @@ class Analyzer:
         links = self.links()
 
         def leads(i: int, j: int) -> bool:
-            sources = self._link_high_sources(links[i])
-            return (
-                i != j
-                and len(sources) == len(links[i].states())
-                and all(links[j].states() <= self._seen(src)[1] for src in sources)
-            )
+            return i != j and links[j].states() <= self._seen(links[i].source)[1]
 
         edges = [[j for j in range(len(links)) if leads(i, j)] for i in range(len(links))]
         paths = _simple_paths(range(len(links)), lambda path: edges[path[-1]])
@@ -390,9 +393,9 @@ class Analyzer:
     @_cached
     def _h_edges(self):
         sites = self.max_sites()
-        return {
-            a: self._operated_sites(self.loop_sources(a), set(sites) - {a}) for a in sites
-        }
+        if len(sites) == 1:  # no edge to read, so no source is built
+            return {sites[0]: set()}
+        return {a: self._operated_sites(self.loop_source(a)) - {a} for a in sites}
 
     def _alternating_paths(self, allowed, require_tail_to=None):
         """Longest alternating simple paths over allowed sites.
@@ -403,26 +406,23 @@ class Analyzer:
         tail-reaches one of the ``require_tail_to`` anchor states (no
         constraint when None).
         """
-        edges = self._h_edges()
-        signs = self.site_first_signs
+        edges, signs = self._h_edges(), self.site_first_signs
         allowed = list(allowed)
-        targets = set(require_tail_to or ())
+        inside, targets = set(allowed), set(require_tail_to or ())
         ends = {
             f
             for f in allowed
-            if require_tail_to is None
-            or any(self._seen(s)[1] & targets for s in self.loop_sources(f))
+            if require_tail_to is None or self._seen(self.loop_source(f))[1] & targets
         }
-
-        def after(path):  # a site has one first sign, so the walker keeps sites simple
-            site, sign = path[-1]
+        heads = [(f, sign) for f in allowed for sign in sorted(signs(f))]
+        after = {}  # a site has one first sign, so the walker keeps sites simple
+        for site, sign in heads:
             nsign = _opposite(sign)
             nexts = sorted(edges[site], key=sorted)
-            return [(f, nsign) for f in nexts if f in allowed and nsign in signs(f)]
+            after[site, sign] = [(f, nsign) for f in nexts if f in inside and nsign in signs(f)]
 
         best, firsts = 0, {}
-        heads = [(f, sign) for f in allowed for sign in sorted(signs(f))]
-        for path in _simple_paths(heads, after):
+        for path in _simple_paths(heads, lambda path: after[path[-1]]):
             if path[-1][0] in ends:
                 if len(path) > best:
                     best, firsts = len(path), {}
@@ -433,19 +433,13 @@ class Analyzer:
     def _prefix_allowed(self, chain_links: tuple[int, ...]) -> list[frozenset[str]]:
         """Sites usable before the omega part: not reachable back from it."""
         links = self.links()
-        sources = (src for i in chain_links for src in self._link_high_sources(links[i]))
-        blocked = self._operated_sites(sources, set(self.max_sites()))
+        blocked = set().union(*(self._operated_sites(links[i].source) for i in chain_links))
         return [s for s in self.max_sites() if s not in blocked]
 
     def _loop_entries(self, link: OmegaLink) -> list[LoopDescriptor]:
         """Admissible loops, in order, from which the first unit is re-pumpable."""
-        anchors = {link.pos_loop.anchor, link.neg_loop.anchor}
-        out = []
-        for d in self.admissible_loops():
-            sources = [s for s in self.loop_sources(d.essential_set) if s.state == d.anchor]
-            if any(self._seen(s)[1] & anchors for s in sources):
-                out.append(d)
-        return out
+        anchors, descs = {link.pos_loop.anchor, link.neg_loop.anchor}, self.admissible_loops()
+        return [d for d in descs if self._seen(self.loop_source(d.essential_set))[1] & anchors]
 
     @_cached
     def _superchain_summary(self):

@@ -45,7 +45,8 @@ fixpoint's ceiling.  The dip at each anchor a then follows:
   arbitrarily high), minus 1.  That much suffices: climb, cover F and cancel
   the weight high up, then come down into a.  That no lower dip closes is
   checked, not proved: the tests compare every dip with a linear dip scan.
-If ``_i_level_kinds`` promises a kind that no rule gives, enumeration raises
+One pass of that arithmetic per set, ``_i_level_loops``, gives both the kinds
+and the dips.  If it promises a kind that no rule gives, enumeration raises
 ``MbcaError``.
 
 Z-level existence comes from one descent summary per set, one-counter
@@ -256,13 +257,16 @@ def _descents(subset: frozenset[int], ie: dict[int, list[tuple[str, int, int]]])
     return desc
 
 
-def _z_level_anchors(machine: Mbca, subset: frozenset[int]) -> set[int]:
-    """The anchors of F's Z-level loops, all at once from one descent summary:
-    a loops iff the edges inside its SCC of the zero graph cover F."""
+def _z_level_anchors(
+    machine: Mbca, subset: frozenset[int], ie: dict[int, list[tuple[str, int, int]]]
+) -> set[int]:
+    """The anchors of F's Z-level loops, all at once from one descent summary
+    on F's I-edges ``ie``: a loops iff the edges inside its SCC of the zero
+    graph cover F."""
     ze = _inside(machine.moves.zero, subset)
     if not any(ze.values()):
         return set()
-    desc = _descents(subset, _inside(machine.moves.pos, subset))
+    desc = _descents(subset, ie)
     adj: dict[int, set[int]] = {}
     covers: dict[tuple[int, int], int] = {}  # zero-graph edge -> the states its walks visit
     for p in subset:
@@ -294,10 +298,6 @@ def _z_level_moves(machine: Mbca, subset: frozenset[int]):
     return edge_fn, _cap(len(machine.states), machine.moves.dplus) if any(desc.values()) else 0
 
 
-def _arcs(subset: frozenset[int], edges: dict[int, list[tuple[str, int, int]]]):
-    return [(s, t, d) for s in subset for _, t, d in edges[s]]
-
-
 def _cycle_arithmetic(subset: frozenset[int], arcs: list[tuple[int, int, int]]):
     """The signs of F's cycles, and a potential P whose tight edges strongly
     connect F (None if there is none).
@@ -322,25 +322,19 @@ def _cycle_arithmetic(subset: frozenset[int], arcs: list[tuple[int, int, int]]):
     return cycle_signs, tight_potential
 
 
-def _i_level_kinds(
+def _i_level_loops(
     subset: frozenset[int], edges: dict[int, list[tuple[str, int, int]]]
-) -> tuple[str, ...]:
-    """The kinds of covering closed walk that F's I-edges admit: equal, then plus.
+) -> tuple[tuple[str, ...], dict[str, dict[int, int]]]:
+    """The kinds of covering closed walk that F's I-edges admit (equal, then
+    plus), and per kind each anchor's minimal dip, both from one pass of cycle
+    arithmetic, by the rules the module docstring argues.
 
-    The answer is the same at every anchor of F; the module docstring argues it.
+    The kinds are the same at every anchor of F; the module docstring argues it.
     """
-    cycle_signs, tight_potential = _cycle_arithmetic(subset, _arcs(subset, edges))
-    equal = cycle_signs == {1, -1} or tight_potential is not None
-    return tuple(kind for kind, ok in (("equal", equal), ("plus", 1 in cycle_signs)) if ok)
-
-
-def _i_level_dips(
-    subset: frozenset[int], edges: dict[int, list[tuple[str, int, int]]]
-) -> dict[str, dict[int, int]]:
-    """Per kind of loop that F admits, each anchor's minimal dip, by the rules
-    the module docstring argues."""
-    arcs = _arcs(subset, edges)
+    arcs = [(s, t, d) for s in subset for _, t, d in edges[s]]
     cycle_signs, tight_potential = _cycle_arithmetic(subset, arcs)
+    equal = cycle_signs == {1, -1} or tight_potential is not None
+    kinds = tuple(kind for kind, ok in (("equal", equal), ("plus", 1 in cycle_signs)) if ok)
     dips: dict[str, dict[int, int]] = {}
     if tight_potential is not None:
         low = min(tight_potential.values())
@@ -351,7 +345,7 @@ def _i_level_dips(
         if -1 in cycle_signs:
             back = credit(subset, [(t, s, -d) for s, t, d in arcs])
             dips["equal"] = {a: max(need[a], back[a]) - 1 for a in subset}
-    return dips
+    return kinds, dips
 
 
 def _letters(d: LoopDescriptor) -> tuple[str, ...]:
@@ -397,8 +391,7 @@ def _loops_of(machine: Mbca) -> tuple[LoopDescriptor, ...]:
 
     # I-level: uniform positive-level edges, relative counters, dips in closed form.
     for subset, edges in _i_level_sets(machine):
-        kinds = _i_level_kinds(subset, edges)
-        dips = _i_level_dips(subset, edges) if kinds else {}
+        kinds, dips = _i_level_loops(subset, edges)
         fset = frozenset(states[i] for i in subset)
         for anchor in subset:
             for kind in kinds:
@@ -410,7 +403,7 @@ def _loops_of(machine: Mbca) -> tuple[LoopDescriptor, ...]:
                     )
                 emit(anchor, LEVEL_POS, fset, kind, dips[kind][anchor])
         # Z-level: full table, absolute counters from zero back to zero.
-        for anchor in _z_level_anchors(machine, subset):
+        for anchor in _z_level_anchors(machine, subset, edges):
             emit(anchor, LEVEL_ZERO, fset, "equal", 0)
 
     return tuple(sorted(found, key=lambda d: (d.anchor, d.level, sorted(d.essential_set), d.delta_kind)))

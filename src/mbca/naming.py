@@ -14,11 +14,12 @@ names check nothing again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 from .automaton import Mbca, MbcaError, memo
 from .hierarchy import Analyzer, OrdinalW2, analyzer_for, parse_ordinal
+from .loops import loops
 from .reachability import min_counter_to
 
 
@@ -121,13 +122,20 @@ def _superchain_entries(analyzer: Analyzer):
     """Per sign, the (state, floor) options whose reachability means the sign's
     maximal superchains stay reachable."""
     return {
-        sign: {(d.anchor, analyzer.operating_min(d)) for d in loops}
-        for sign, loops in analyzer.superchain_entry_options().items()
+        sign: {(d.anchor, analyzer.operating_min(d)) for d in entry_loops}
+        for sign, entry_loops in analyzer.superchain_entry_options().items()
     }
 
 
 def derive(machine: Mbca, analyzer: Analyzer | None = None) -> DerivationContext:
-    """Restrict to states keeping both superchain signs reachable, with thresholds."""
+    """Restrict to states keeping both superchain signs reachable, with thresholds.
+
+    The restricted machine takes the parent's loops on sets inside the kept
+    states, with no enumeration: every transition between kept states stays,
+    so such a set has the same I- and Z-edges in both machines, hence the same
+    candidate status, kinds, dips and Z-level anchors; and the restricted
+    accept family holds exactly the parent's members inside the kept states.
+    """
     analyzer = analyzer or analyzer_for(machine)
     inv = analyzer.invariants()
     if inv.s != 0:
@@ -161,6 +169,8 @@ def derive(machine: Mbca, analyzer: Analyzer | None = None) -> DerivationContext
             f for f in machine.accept_family if f <= keep
         ),
     )
+    kept_loops = (d for d in loops(machine) if d.essential_set <= keep)
+    memo(restricted, "loops", lambda: tuple(replace(d, machine=restricted) for d in kept_loops))
     new_thresholds = {
         q: max(analyzer.threshold(q), counters[q]) for q in sub_states
     }

@@ -2,7 +2,7 @@ import random
 from math import inf
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from mbca import (
     OrdinalW2,
@@ -16,7 +16,7 @@ from mbca import (
 from mbca.automaton import LEVEL_POS, Configuration, MbcaError
 from mbca.gallery import canonical, gallery_box
 from mbca.hierarchy import Analyzer, Chain, OmegaLink, _cached, _opposite
-from mbca.loops import LoopDescriptor, essential_sets
+from mbca.loops import LoopDescriptor, _loops_of, essential_sets, loops
 from mbca.naming import derive
 from mbca.reachability import ReachSet, analysis, cutoff, tail_states
 from mbca.wagner import wagner_invariants
@@ -474,7 +474,7 @@ def test_assembly_matches_the_reference():
     for label, machine in _reference_machines():
         analyzer = Analyzer(machine)
         assert _relations(analyzer) == _relations(ReferenceAnalyzer(machine)), label
-        # ``loop_sources`` enters a plus loop only through its anchor's tail
+        # ``loop_source`` enters a plus loop only through its anchor's tail
         tails = tail_states(machine, machine.initial_configuration())
         plus = [d for d in analyzer.admissible_loops() if d.delta_kind == "plus"]
         assert all(d.anchor in tails for d in plus), label
@@ -593,3 +593,38 @@ def test_seen_from_cover_tables_matches_the_forward_analyses():
                 assert analyzer._seen(key[1]) == forward._seen(key[1]), (label, key[1])
                 asked += 1
     assert asked > 400
+
+
+def _one_source_per_set_and_per_link(machine):
+    """On the machine and each derived level: every per-loop source of an
+    essential set, as the reference enters it, has the ``_seen`` record of
+    ``loop_source``; every link state is a tail state, and at counter inf has
+    the record of the link's source.  A derived level's loops, taken from its
+    parent's, are the ones enumeration finds."""
+    for analyzer in _naming_analyzers(machine):
+        ref = ReferenceAnalyzer(analyzer.machine, analyzer.thresholds)
+        for f in ref.essential():
+            want = ref._seen(ref.loop_source(f))
+            assert all(ref._seen(src) == want for src in ref.loop_sources(f)), f
+        for link in ref.links():
+            want = ref._seen(link.source)
+            for state in link.states():
+                assert state in ref._initial_tails(), (link, state)
+                assert ref._seen(Configuration(state, inf)) == want, (link, state)
+        assert loops(analyzer.machine) == _loops_of(analyzer.machine)
+
+
+@settings(max_examples=40, deadline=None)
+@given(transfinite_machines())
+def test_one_source_per_set_and_per_link_on_perturbed_gallery_machines(machine):
+    try:
+        Analyzer(machine).invariants()
+    except MbcaError:  # an SCC past the 16-state candidate limit
+        return
+    _one_source_per_set_and_per_link(machine)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(2, 7), st.integers(1, 3))
+def test_one_source_per_set_on_random_machines(rng, n_states, max_delta):
+    _one_source_per_set_and_per_link(random_machine(rng, n_states, max_delta=max_delta))

@@ -180,7 +180,7 @@ def test_loop_existence_matches_the_product_search(machine):
     search, mask, closes = loops_module._search, loops_module._mask, loops_module._closes
     dplus = machine.max_positive_delta()
     for subset, edges in loops_module._i_level_sets(machine):
-        kinds = loops_module._i_level_kinds(subset, edges)
+        kinds, _ = loops_module._i_level_loops(subset, edges)
         rel_cap = loops_module._cap(len(subset), dplus)
         fmask = mask(subset)
 
@@ -202,7 +202,8 @@ def test_loop_existence_matches_the_product_search(machine):
             for anchor in subset
             if search(edge_fn, anchor, fmask, 0, cap, closes(anchor, fmask, "equal")) is not None
         }
-        assert loops_module._z_level_anchors(machine, subset) == found, (machine, subset)
+        ie = loops_module._inside(machine.moves.pos, subset)
+        assert loops_module._z_level_anchors(machine, subset, ie) == found, (machine, subset)
 
 
 def _brute_force_strongly_connected(n, arcs):
@@ -244,7 +245,7 @@ def test_candidate_sets_are_the_induced_strongly_connected_subsets(rng, n_states
 def test_a_promised_loop_without_a_witness_is_an_internal_error(monkeypatch):
     # one state whose only cycle gains: no equal loop exists at any dip
     machine = validate("promise", ["a"], ["q"], "q", [("q", "a", "I", "q", 1)], [])
-    monkeypatch.setattr(loops_module, "_i_level_kinds", lambda subset, edges: ("equal",))
+    monkeypatch.setattr(loops_module, "_i_level_loops", lambda subset, edges: (("equal",), {}))
     with pytest.raises(MbcaError, match=r"I-level equal loop on \{q\} at q"):
         loops(machine)
 
@@ -252,8 +253,9 @@ def test_a_promised_loop_without_a_witness_is_an_internal_error(monkeypatch):
 def test_letters_at_a_dip_with_no_walk_are_an_internal_error(monkeypatch):
     # the only cycle loses, so no plus walk exists at any dip; the rules are made to claim one
     machine = validate("short", ["a"], ["q"], "q", [("q", "a", "I", "q", -1)], [])
-    monkeypatch.setattr(loops_module, "_i_level_kinds", lambda subset, edges: ("plus",))
-    monkeypatch.setattr(loops_module, "_i_level_dips", lambda subset, edges: {"plus": {0: 0}})
+    monkeypatch.setattr(
+        loops_module, "_i_level_loops", lambda subset, edges: (("plus",), {"plus": {0: 0}})
+    )
     (descriptor,) = loops_module._loops_of(machine)
     with pytest.raises(MbcaError, match=r"I-level plus loop on \{q\} at q has no walk at dip 0"):
         descriptor.cycle
@@ -272,7 +274,7 @@ def _reference_loops(machine):
             return _edges[s]
 
         for anchor in subset:
-            for kind in L._i_level_kinds(subset, edges):
+            for kind in L._i_level_loops(subset, edges)[0]:
                 closed = L._closes(anchor, fmask, kind)
                 for dip in range(rel_cap + 1):
                     cycle = L._search(edge_fn, anchor, fmask, -dip, rel_cap, closed)

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import random
 
 import pytest
@@ -21,6 +22,8 @@ from mbca import automaton, naming, reachability
 from mbca.gallery import canonical
 from mbca.naming import DerivationContext, NameBlock, check_name
 from conftest import duplicate_state, random_counter_free, random_machine
+
+loops_module = importlib.import_module("mbca.loops")
 
 
 def test_name_grammar_round_trip():
@@ -444,15 +447,18 @@ def test_complementing_the_accept_family_dualizes_the_name(seed, n_states, max_d
 
 
 # (ReachAnalysis constructions, reach probes of min_counter_to) in a cold name,
-# as measured when ``Analyzer._seen`` moved to cover tables, and cover-table
+# as measured when ``Analyzer._seen`` moved to cover tables; cover-table
 # builds (``reachability._cover`` runs), as measured when the assembly's
-# "arbitrarily high" became counter inf
-COLD_COSTS = {"C_1^w*3+3": (1, 0, 21), "E_2^w*2": (22, 22, 36), "E_4^w*2": (38, 38, 68)}
+# "arbitrarily high" became counter inf; and loop enumerations
+# (``loops._loops_of`` runs), one per name, since a derived level reuses its
+# parent's loops
+COLD_COSTS = {"C_1^w*3+3": (1, 0, 21, 1), "E_2^w*2": (22, 22, 36, 1), "E_4^w*2": (38, 38, 68, 1)}
 
 
 def test_a_cold_name_costs_no_more_analyses_or_probes(monkeypatch):
-    counts = {"analyses": 0, "probes": 0, "covers": 0}
+    counts = {"analyses": 0, "probes": 0, "covers": 0, "loops": 0}
     build, probe, table = reachability.ReachAnalysis.__init__, reachability.reach, reachability._cover
+    enumerate_loops = loops_module._loops_of
 
     def counted_build(self, *args):
         counts["analyses"] += 1
@@ -466,13 +472,18 @@ def test_a_cold_name_costs_no_more_analyses_or_probes(monkeypatch):
         counts["covers"] += 1
         return table(*args)
 
+    def counted_loops(*args):
+        counts["loops"] += 1
+        return enumerate_loops(*args)
+
     monkeypatch.setattr(reachability.ReachAnalysis, "__init__", counted_build)
     monkeypatch.setattr(reachability, "reach", counted_probe)
     monkeypatch.setattr(reachability, "_cover", counted_table)
-    for spec, (analyses, probes, covers) in COLD_COSTS.items():
+    monkeypatch.setattr(loops_module, "_loops_of", counted_loops)
+    for spec, (analyses, probes, covers, enumerations) in COLD_COSTS.items():
         machine = canonical(spec)
         monkeypatch.setattr(automaton, "_memo", {})
-        counts.update(analyses=0, probes=0, covers=0)
+        counts.update(analyses=0, probes=0, covers=0, loops=0)
         wadge_name(machine)
         assert counts["analyses"] <= analyses and counts["probes"] <= probes, (spec, counts)
-        assert counts["covers"] <= covers, (spec, counts)
+        assert counts["covers"] <= covers and counts["loops"] <= enumerations, (spec, counts)
